@@ -1,6 +1,6 @@
 """Segmented hierarchy-weighted deep hashing: similarity-preserving binary
 codes for hierarchically labeled data, a weighted-Hamming index with
-lookup-table search, and hierarchy-aware ranking metrics."""
+exact integer-key search, and hierarchy-aware ranking metrics."""
 
 __version__ = "0.1.0"
 
@@ -21,10 +21,9 @@ from .codes import (
 from .errors import ShdhError
 from .hierarchy import LayerWeights, Taxonomy, layer_weights, parse_taxonomy
 from .index import (
-    QueryLUT,
     SearchResult,
     brute_force_topn,
-    build_query_lut,
+    distance_keys,
     search_radius,
     search_topn,
     weighted_distance,
@@ -55,7 +54,6 @@ __all__ = [
     "HashModel",
     "LayerWeights",
     "MetricReport",
-    "QueryLUT",
     "SCHEME_EFFECTIVE",
     "SCHEME_PAPER_LITERAL",
     "SearchResult",
@@ -67,8 +65,8 @@ __all__ = [
     "acg_at",
     "backprop_step",
     "brute_force_topn",
-    "build_query_lut",
     "dcg_at",
+    "distance_keys",
     "encode_batch",
     "eval_queries",
     "finite_diff_gradient",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .errors import (
     EmptyDatabase,
     FileFormatError,
     FileNotFound,
+    InvalidNumber,
     ModelFeatureDimMismatch,
     ShapeMismatch,
     ShdhError,
@@ -47,19 +49,36 @@ from .io import (
     write_taxonomy,
     write_trainlog,
 )
-from .metrics import MODES, eval_queries, weighted_recall_curves
+from .metrics import MODES, eval_queries
 from .train import TrainConfig, train
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SHDH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _number(value, flag: str, kind=int, minimum=None):
+    """A numeric flag or setting; a malformed value is a validation error."""
+    try:
+        out = kind(str(value).strip())
+    except ValueError:
+        out = None
+    if out is None or (kind is float and not math.isfinite(out)):
+        what = "an integer" if kind is int else "a finite number"
+        raise InvalidNumber(f"{flag} expects {what}, got {value!r}")
+    if minimum is not None and out < minimum:
+        raise InvalidNumber(f"{flag} must be >= {minimum}, got {value!r}")
+    return out
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _int_list(text, flag: str) -> list[int]:
+    return [_number(p, flag) for p in str(text).split(",") if p.strip()]
+
+
+def _check_threads(args):
+    """--threads (else SHDH_THREADS) is validated but no longer used: one
+    numpy pass per query is as fast on one thread as on several. The flag
+    and the variable stay accepted for one release."""
+    if args.threads:
+        _number(args.threads, "--threads", minimum=1)
+    elif os.environ.get("SHDH_THREADS"):
+        _number(os.environ["SHDH_THREADS"], "SHDH_THREADS")
 
 
 def _write_manifest(primary_output, command: str, args: argparse.Namespace):
@@ -108,16 +127,19 @@ def cmd_train(args) -> int:
         raise ShapeMismatch(
             f"{len(labels)} labels for {features.shape[0]} feature rows"
         )
-    layout = segment_layout(int(args.bits), tax.K, args.scheme)
-    hidden = tuple(_parse_int_list(str(args.hidden)))
+    layout = segment_layout(_number(args.bits, "--bits"), tax.K, args.scheme)
+    hidden = tuple(_int_list(args.hidden, "--hidden"))
     arch = Architecture(d=features.shape[1], hidden=hidden, L=layout.L)
-    config = TrainConfig(
-        iters=int(args.iters),
-        alpha=float(args.alpha),
-        eta0=float(args.eta0),
-        batch=int(args.batch),
-        seed=int(args.seed),
-    )
+    try:
+        config = TrainConfig(
+            iters=_number(args.iters, "--iters"),
+            alpha=_number(args.alpha, "--alpha", float),
+            eta0=_number(args.eta0, "--eta0", float),
+            batch=_number(args.batch, "--batch"),
+            seed=_number(args.seed, "--seed"),
+        )
+    except ValueError as exc:
+        raise InvalidNumber(str(exc)) from None
     model, log = train(features, labels, tax, arch, layout, config)
     write_model(args.out, model)
     trainlog_path = args.trainlog or str(args.out) + ".trainlog.csv"
@@ -148,7 +170,7 @@ def cmd_query(args) -> int:
 
     queries = []
     if args.query_id is not None:
-        for qid in args.query_id:
+        for qid in (_number(q, "--query-id") for q in args.query_id):
             if not 0 <= qid < len(db):
                 raise UnknownQueryId(f"query id {qid} outside [0, {len(db) - 1}]")
             queries.append((qid, db.code(qid)))
@@ -167,15 +189,9 @@ def cmd_query(args) -> int:
         raise ValidationError("provide --query-id or --query-features")
 
     search = brute_force_topn if args.oracle else search_topn
-    n = int(args.n)
-    threads = int(args.threads) if args.threads else _default_threads()
-    if threads > 1 and len(queries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda qc: search(db, qc[1], n), queries))
-    else:
-        results = [search(db, qcode, n) for _, qcode in queries]
+    n = _number(args.n, "--n", minimum=1)
+    _check_threads(args)
+    results = [search(db, qcode, n) for _, qcode in queries]
 
     lines = ["query\trank\titem_id\tdistance\tinner_product"]
     for (qid, _), result in zip(queries, results):
@@ -202,11 +218,10 @@ def cmd_eval(args) -> int:
     if len(query_labels) != len(qdb):
         raise ShapeMismatch(f"{len(query_labels)} labels for {len(qdb)} query codes")
 
-    ns = _parse_int_list(str(args.ns))
-    threads = int(args.threads) if args.threads else _default_threads()
+    ns = _int_list(args.ns, "--ns")
+    _check_threads(args)
     queries = [qdb.code(i) for i in range(len(qdb))]
-    report = eval_queries(db, db_labels, queries, query_labels, tax,
-                          mode=args.mode, ns=ns, threads=threads)
+    report = eval_queries(db, db_labels, queries, query_labels, tax, mode=args.mode, ns=ns)
 
     prefix = str(args.out_prefix)
     write_csv(prefix + ".metrics.csv", ["query_id", "n", "metric", "value"],
@@ -215,13 +230,11 @@ def cmd_eval(args) -> int:
         f.write(report.to_json())
         f.write("\n")
 
-    curve_ns, wr_n, radii, wr_r = weighted_recall_curves(
-        db, db_labels, queries, query_labels, tax, mode=args.mode, threads=threads
-    )
     write_csv(prefix + ".wr_vs_n.csv", ["n", "mean_weighted_recall"],
-              [(int(n), repr(float(v))) for n, v in zip(curve_ns, wr_n)])
+              [(n, repr(v)) for n, v in enumerate(report.wr_by_n.tolist(), start=1)])
     write_csv(prefix + ".wr_vs_radius.csv", ["radius", "mean_weighted_recall"],
-              [(repr(float(r)), repr(float(v))) for r, v in zip(radii, wr_r)])
+              [(repr(r), repr(v)) for r, v in
+               zip(report.radii.tolist(), report.wr_by_radius.tolist())])
     _write_manifest(prefix, "eval", args)
 
     for metric, by_n in sorted(report.summary()["means"].items()):
@@ -271,18 +284,21 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = SyntheticConfig(
-        n_super=int(args.supers),
-        n_sub=int(args.subs),
-        dim=int(args.dim),
-        n_train=int(args.n_train),
-        n_query=int(args.n_query),
-        super_std=float(args.super_std),
-        sub_std=float(args.sub_std),
-        noise_std=float(args.noise_std),
-        scale=float(args.scale),
-        seed=int(args.seed),
-    )
+    try:
+        config = SyntheticConfig(
+            n_super=_number(args.supers, "--supers"),
+            n_sub=_number(args.subs, "--subs"),
+            dim=_number(args.dim, "--dim"),
+            n_train=_number(args.n_train, "--n-train"),
+            n_query=_number(args.n_query, "--n-query"),
+            super_std=_number(args.super_std, "--super-std", float),
+            sub_std=_number(args.sub_std, "--sub-std", float),
+            noise_std=_number(args.noise_std, "--noise-std", float),
+            scale=_number(args.scale, "--scale", float),
+            seed=_number(args.seed, "--seed"),
+        )
+    except ValueError as exc:
+        raise InvalidNumber(str(exc)) from None
     data = generate(config)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
@@ -339,14 +355,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = registry["query"] = sub.add_parser("query", help="rank database codes for one or more queries")
     p.add_argument("--config")
     p.add_argument("--codes", required=True, help="SHDC code database")
-    p.add_argument("--query-id", type=int, action="append",
+    p.add_argument("--query-id", action="append",
                    help="database row to use as the query (repeatable)")
     p.add_argument("--query-features", help="SHDF file of query feature rows")
     p.add_argument("--model", help="SHDM model, needed with --query-features")
     p.add_argument("--n", default=10, help="number of results per query")
     p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force scan instead of the LUT path")
-    p.add_argument("--threads", help="worker threads (default: SHDH_THREADS or all cores)")
+                   help="use the brute-force scan instead of the integer-key kernel")
+    p.add_argument("--threads", help="accepted and checked, no longer used (removed next release)")
     p.add_argument("--out", help="ranked TSV output (default stdout)")
     p.set_defaults(func=cmd_query)
 
@@ -359,7 +375,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--mode", default="shared-layers", choices=MODES)
     p.add_argument("--ns", default="100", help="cutoffs, comma-separated")
-    p.add_argument("--threads", help="worker threads (default: SHDH_THREADS or all cores)")
+    p.add_argument("--threads", help="accepted and checked, no longer used (removed next release)")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for .metrics.csv/.summary.json/.wr_vs_*.csv")
     p.set_defaults(func=cmd_eval)

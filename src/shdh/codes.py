@@ -38,15 +38,6 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Chunk:
-    """One packed byte of the code: its owning weight and valid-bit mask."""
-
-    weight: float
-    valid_bits: int
-    mask: int  # low `valid_bits` bits set
-
-
-@dataclass(frozen=True)
 class SegmentLayout:
     L: int
     K: int
@@ -67,15 +58,19 @@ class SegmentLayout:
     def max_distance(self) -> float:
         return float(sum(s.weight * s.width for s in self.segments))
 
-    def chunks(self) -> list[Chunk]:
-        out = []
-        for seg in self.segments:
-            remaining = seg.width
-            for _ in range(seg.n_bytes):
-                valid = min(8, remaining)
-                out.append(Chunk(weight=seg.weight, valid_bits=valid, mask=(1 << valid) - 1))
-                remaining -= valid
-        return out
+    @property
+    def key_scale(self) -> int:
+        """K(K-1)/2: exact integer distance keys are D_w * key_scale."""
+        return self.K * (self.K - 1) // 2
+
+    def key_weight(self, layer: int) -> int:
+        """u_k * key_scale, the integer K+1-k; the root layer weighs 0."""
+        return 0 if layer == 1 else self.K + 1 - layer
+
+    @property
+    def max_key(self) -> int:
+        """Key of two codes that differ in every bit."""
+        return sum(self.key_weight(s.layer) * s.width for s in self.segments)
 
 
 def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLayout:

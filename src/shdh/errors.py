@@ -123,6 +123,12 @@ class ZeroTotalRelevance(ValidationError):
     code = "ZERO_TOTAL_RELEVANCE"
 
 
+# --- command line ------------------------------------------------------------
+
+class InvalidNumber(ValidationError):
+    code = "INVALID_NUMBER"
+
+
 # --- files -------------------------------------------------------------------
 
 class FileNotFound(InputError):

@@ -1,11 +1,16 @@
-"""Weighted-Hamming search over packed codes with lookup-table acceleration.
+"""Weighted-Hamming search over packed codes with exact integer keys.
 
-The distance between two codes is sum_k u_k * (differing bits in segment k).
-Because segments are byte-aligned, each packed byte belongs to exactly one
-segment, so a 256-entry table per byte chunk maps an XOR byte value to its
-weighted contribution. Both the LUT path and the brute-force oracle add the
-per-chunk contributions in the same fixed layout order, so their float
-results agree bit for bit.
+The distance between two codes is D_w = sum_k u_k * ham_k, where ham_k
+counts the differing bits in segment k. Scaled by K(K-1)/2 the layer
+weights become the integers K+1-k (0 for a layer-1 segment), so every
+distance has an exact integer key, key = sum_k (K+1-k) * ham_k, and
+D_w = key / (K(K-1)/2). Ranking sorts keys, so equal distances tie exactly
+and break by insertion order; reported distances are one division of the
+key, so equal keys print equal floats.
+
+The kernel views each packed row as whole unsigned words, XORs it with the
+query, and sums popcount(word & segment mask) * weight over precomputed
+terms. Masks drop padding bits; zero-weight segments have no term.
 
 Larger weighted inner product (the similarity reading of the same segment
 counts) means more similar; ranking ascending by distance equals ranking
@@ -14,23 +19,14 @@ descending by that inner product.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import BinaryCode, CodeDatabase, SegmentLayout, unpack_bits
 from .errors import EmptyDatabase, LayoutMismatch
-
-POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.float64)
-POPCOUNT8.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class QueryLUT:
-    """Per-chunk tables: table[c, x] = weighted contribution of XOR byte x."""
-
-    layout: SegmentLayout
-    table: np.ndarray  # n_chunks x 256, float64
 
 
 @dataclass(eq=False)
@@ -48,9 +44,86 @@ class SearchResult:
         return list(zip(self.ids, self.distances.tolist(), self.inner_products.tolist()))
 
 
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    word: np.dtype   # widest unsigned word whose size divides the row
+    terms: tuple     # (word column, segment bits of that word, integer weight)
+    key_dtype: type  # uint16 unless the layout's largest key needs more
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(layout: SegmentLayout) -> _Kernel:
+    size = next(s for s in (8, 4, 2, 1) if layout.total_bytes % s == 0)
+    word = np.dtype(f"u{size}")
+    masks = {}  # (word column, weight) -> bits of that word in segments of that weight
+    for seg in layout.segments:
+        weight = layout.key_weight(seg.layer)
+        if weight == 0:
+            continue
+        row = np.zeros(layout.total_bytes, dtype=np.uint8)
+        row[seg.byte_offset:seg.byte_offset + seg.n_bytes] = np.packbits(
+            np.ones(seg.width, dtype=np.uint8), bitorder="little")
+        for col, mask in enumerate(row.view(word)):
+            if mask:
+                masks[col, weight] = masks.get((col, weight), word.type(0)) | mask
+    key_dtype = np.uint16 if layout.max_key <= np.iinfo(np.uint16).max else np.uint32
+    terms = tuple((col, mask, key_dtype(w)) for (col, w), mask in sorted(masks.items()))
+    return _Kernel(word=word, terms=terms, key_dtype=key_dtype)
+
+
+def distance_keys(db: CodeDatabase, q: BinaryCode) -> np.ndarray:
+    """Exact integer key sum_k (K+1-k) * ham_k of every database row to q."""
+    _require_same_layout(q.layout, db.layout)
+    kernel = _kernel(db.layout)
+    # a view of the rows as words, not a copy, when the database is contiguous
+    x = (np.ascontiguousarray(db.packed).view(kernel.word)
+         ^ np.ascontiguousarray(q.packed).view(kernel.word))
+    key = np.zeros(len(db), dtype=kernel.key_dtype)
+    for col, mask, weight in kernel.terms:
+        key += np.multiply(np.bitwise_count(x[:, col] & mask), weight, dtype=kernel.key_dtype)
+    return key
+
+
+def _topn_rows(key: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the n smallest keys, ordered by (key, row), in O(N + n log n)."""
+    if n >= len(key):
+        return np.argsort(key, kind="stable")
+    cut = np.partition(key, n - 1)[n - 1]
+    below = np.flatnonzero(key < cut)
+    rows = np.concatenate([below, np.flatnonzero(key == cut)[:n - len(below)]])
+    return rows[np.argsort(key[rows], kind="stable")]
+
+
+def radius_key_bound(layout: SegmentLayout, r: float) -> int:
+    """Largest key whose reported D_w = key / scale is <= r (-1 when none is)."""
+    scale, top = layout.key_scale, layout.max_key
+    bound = top if r * scale >= top else math.floor(r * scale)
+    while bound < top and (bound + 1) / scale <= r:
+        bound += 1
+    while bound >= 0 and bound / scale > r:
+        bound -= 1
+    return bound
+
+
 def _require_same_layout(a: SegmentLayout, b: SegmentLayout):
     if a != b:
         raise LayoutMismatch("codes were built with different segment layouts")
+
+
+def _require_searchable(db: CodeDatabase, q: BinaryCode):
+    if len(db) == 0:
+        raise EmptyDatabase("cannot search an empty code database")
+    _require_same_layout(q.layout, db.layout)
+
+
+def _take(db: CodeDatabase, key: np.ndarray, order: np.ndarray) -> SearchResult:
+    k = key[order].astype(np.int64)
+    scale = db.layout.key_scale
+    return SearchResult(
+        ids=[db.ids[i] for i in order.tolist()],
+        distances=k / scale,
+        inner_products=(db.layout.max_key - 2 * k) / scale,
+    )
 
 
 def weighted_distance(a: BinaryCode, b: BinaryCode, layout: SegmentLayout | None = None) -> float:
@@ -59,90 +132,56 @@ def weighted_distance(a: BinaryCode, b: BinaryCode, layout: SegmentLayout | None
         layout = a.layout
     _require_same_layout(a.layout, layout)
     _require_same_layout(b.layout, layout)
-    xor = np.bitwise_xor(a.packed, b.packed)
-    d = 0.0
-    for c, chunk in enumerate(layout.chunks()):
-        d += chunk.weight * float(POPCOUNT8[xor[c] & chunk.mask])
-    return d
-
-
-def build_query_lut(q: BinaryCode, layout: SegmentLayout | None = None) -> QueryLUT:
-    """Tables such that summing table[c][xor byte c] over chunks reproduces
-    weighted_distance(q, ·) exactly."""
-    if layout is None:
-        layout = q.layout
-    _require_same_layout(q.layout, layout)
-    chunks = layout.chunks()
-    table = np.empty((len(chunks), 256), dtype=np.float64)
-    xs = np.arange(256, dtype=np.uint8)
-    for c, chunk in enumerate(chunks):
-        table[c] = chunk.weight * POPCOUNT8[xs & np.uint8(chunk.mask)]
-    return QueryLUT(layout=layout, table=table)
-
-
-def _lut_distances(db: CodeDatabase, q: BinaryCode) -> np.ndarray:
-    lut = build_query_lut(q, db.layout)
-    xored = np.bitwise_xor(db.packed, q.packed[None, :])
-    dist = np.zeros(len(db), dtype=np.float64)
-    for c in range(xored.shape[1]):  # fixed chunk order keeps float sums exact
-        dist += lut.table[c][xored[:, c]]
-    return dist
-
-
-def _take(db: CodeDatabase, distances: np.ndarray, order: np.ndarray) -> SearchResult:
-    max_inner = db.layout.max_distance  # sum_k u_k * L_k
-    d = distances[order]
-    return SearchResult(
-        ids=[db.ids[i] for i in order],
-        distances=d,
-        inner_products=max_inner - 2.0 * d,
-    )
+    key = distance_keys(CodeDatabase(layout=layout, packed=b.packed[None, :]), a)
+    return float(key[0]) / layout.key_scale
 
 
 def search_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
-    """The n nearest codes by D_w via the LUT path (all items if n > |db|)."""
-    if len(db) == 0:
-        raise EmptyDatabase("cannot search an empty code database")
+    """The n nearest codes by D_w (all items if n > |db|)."""
+    _require_searchable(db, q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_same_layout(q.layout, db.layout)
-    dist = _lut_distances(db, q)
-    order = np.argsort(dist, kind="stable")[:n]
-    return _take(db, dist, order)
+    key = distance_keys(db, q)
+    return _take(db, key, _topn_rows(key, n))
 
 
 def search_radius(db: CodeDatabase, q: BinaryCode, r: float) -> SearchResult:
-    """All codes with D_w <= r, ascending, ties by insertion order."""
-    if len(db) == 0:
-        raise EmptyDatabase("cannot search an empty code database")
+    """All codes with reported D_w <= r, ascending, ties by insertion order.
+
+    The bound is an integer key, so a distance level is never split."""
+    _require_searchable(db, q)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    _require_same_layout(q.layout, db.layout)
-    dist = _lut_distances(db, q)
-    within = np.flatnonzero(dist <= r)
-    order = within[np.argsort(dist[within], kind="stable")]
-    return _take(db, dist, order)
+    key = distance_keys(db, q)
+    within = np.flatnonzero(key <= radius_key_bound(db.layout, r))
+    return _take(db, key, within[np.argsort(key[within], kind="stable")])
 
 
 def brute_force_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
-    """Oracle twin of search_topn: per-bit comparison on unpacked codes, no
-    lookup tables, same per-chunk accumulation order."""
-    if len(db) == 0:
-        raise EmptyDatabase("cannot search an empty code database")
+    """Oracle twin of search_topn: per-bit comparison of unpacked codes and
+    exact integer distances, with no words, masks or popcounts.
+
+    D_w = sum_k u_k * ham_k with u_k = 2(K+1-k) / (K(K-1)), u_1 = 0, is kept
+    as the integer numerator over the common denominator K(K-1).
+    """
+    _require_searchable(db, q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_same_layout(q.layout, db.layout)
     layout = db.layout
-    db_bits = unpack_bits(layout, db.packed)        # n x L, 0/1
-    q_bits = unpack_bits(layout, q.packed[None, :])[0]
-    mismatch = db_bits != q_bits
-
-    dist = np.zeros(len(db), dtype=np.float64)
+    K = layout.K
+    mismatch = unpack_bits(layout, db.packed) != unpack_bits(layout, q.packed[None, :])
+    dist_num = np.zeros(len(db), dtype=np.int64)
+    inner_num = np.zeros(len(db), dtype=np.int64)
     for seg in layout.segments:
-        lo = seg.bit_offset
-        for byte_start in range(lo, lo + seg.width, 8):
-            byte_end = min(byte_start + 8, lo + seg.width)
-            count = mismatch[:, byte_start:byte_end].sum(axis=1).astype(np.float64)
-            dist += seg.weight * count
-    order = np.argsort(dist, kind="stable")[:n]
-    return _take(db, dist, order)
+        u_num = 0 if seg.layer == 1 else 2 * (K + 1 - seg.layer)
+        ham = mismatch[:, seg.bit_offset:seg.bit_offset + seg.width].sum(axis=1)
+        dist_num += u_num * ham
+        inner_num += u_num * (seg.width - 2 * ham)
+    num = dist_num.tolist()
+    order = np.array(sorted(range(len(db)), key=lambda i: (num[i], i))[:n], dtype=np.int64)
+    den = K * (K - 1)
+    return SearchResult(
+        ids=[db.ids[i] for i in order.tolist()],
+        distances=dist_num[order] / den,
+        inner_products=inner_num[order] / den,
+    )

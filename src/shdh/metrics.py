@@ -25,7 +25,7 @@ import numpy as np
 from .codes import BinaryCode, CodeDatabase
 from .errors import IdealMismatch, RankTooLarge, ShapeMismatch, ZeroTotalRelevance
 from .hierarchy import Taxonomy
-from .index import search_topn
+from .index import distance_keys
 
 MODE_SHARED_LAYERS = "shared-layers"
 MODE_HIER_SIMILARITY = "hier-similarity"
@@ -102,6 +102,10 @@ class MetricReport:
     per_query: dict[str, np.ndarray]
     means: dict[str, np.ndarray] = field(default_factory=dict)
     wr_excluded: int = 0
+    # mean WR@n for n = 1..N, and mean WR within each exact distance level
+    wr_by_n: np.ndarray | None = None
+    radii: np.ndarray | None = None
+    wr_by_radius: np.ndarray | None = None
 
     def mean(self, metric: str, n: int) -> float:
         return float(self.means[metric][self.ns.index(n)])
@@ -136,12 +140,7 @@ class MetricReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
-def ranked_relevances(tax: Taxonomy, q_label: str, ranked_labels,
-                      mode: str = MODE_SHARED_LAYERS) -> np.ndarray:
-    """Relevance of every database item, in retrieval-ranking order."""
-    q_rows = tax.label_rows([q_label] * len(ranked_labels))
-    item_rows = tax.label_rows(ranked_labels)
-    depths = tax.shared_depths(q_rows, item_rows)
+def _relevance_at_depths(tax: Taxonomy, depths: np.ndarray, mode: str) -> np.ndarray:
     if mode == MODE_SHARED_LAYERS:
         return (depths - 1).astype(np.float64)
     if mode == MODE_HIER_SIMILARITY:
@@ -149,38 +148,37 @@ def ranked_relevances(tax: Taxonomy, q_label: str, ranked_labels,
     raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
 
 
-def _ranked_relevance_arrays(db, db_labels, queries, query_labels, tax, mode, threads):
-    """Per query: (relevances, distances) along the full database ranking."""
-    db_labels = list(db_labels)
-    row_of_id = {item_id: i for i, item_id in enumerate(db.ids)}
-
-    def rank_one(args):
-        qcode, q_label = args
-        result = search_topn(db, qcode, n=len(db))
-        ranked_labels = [db_labels[row_of_id[item_id]] for item_id in result.ids]
-        return ranked_relevances(tax, q_label, ranked_labels, mode), result.distances
-
-    pairs = list(zip(queries, query_labels))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(rank_one, pairs))
-    return [rank_one(p) for p in pairs]
+def ranked_relevances(tax: Taxonomy, q_label: str, ranked_labels,
+                      mode: str = MODE_SHARED_LAYERS) -> np.ndarray:
+    """Relevance of every database item, in retrieval-ranking order."""
+    q_rows = tax.label_rows([q_label] * len(ranked_labels))
+    item_rows = tax.label_rows(ranked_labels)
+    return _relevance_at_depths(tax, tax.shared_depths(q_rows, item_rows), mode)
 
 
 def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_labels,
                  tax: Taxonomy, mode: str = MODE_SHARED_LAYERS,
                  ns: list[int] = (100,), query_ids=None, threads: int = 1) -> MetricReport:
-    """Rank the database for every query and score all four metrics at each n.
+    """Rank the database once per query; score all four metrics at each n
+    and the mean Weighted Recall curves from that one ranking.
+
+    The ranking is a stable sort of the exact distance keys, so it keeps the
+    (D_w, insertion order) rule. Relevance is computed once per leaf label
+    and gathered through the database's leaf rows; the ideal ranking comes
+    from those per-leaf values and the database's leaf counts. The curves
+    are running sums, so memory is O(N + distance levels), not O(Q x N).
 
     Queries whose total relevance is zero are excluded from the Weighted
-    Recall means (their WR cells are NaN); the exclusion count is reported.
+    Recall means (their WR cells are NaN) and from both curves; the
+    exclusion count is reported. `threads` is accepted for compatibility and
+    ignored: one numpy pass per query is faster than a thread pool.
     """
     if len(queries) != len(query_labels):
         raise ShapeMismatch(f"{len(queries)} queries but {len(query_labels)} labels")
     if len(db_labels) != len(db):
         raise ShapeMismatch(f"{len(db_labels)} labels for {len(db)} database items")
+    if mode not in MODES:
+        raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
     ns = list(ns)
     for n in ns:
         if not 1 <= n <= len(db):
@@ -188,22 +186,43 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     if query_ids is None:
         query_ids = list(range(len(queries)))
 
-    nq = len(queries)
-    per_query = {m: np.full((nq, len(ns)), np.nan) for m in METRIC_NAMES}
-    wr_excluded = 0
-    ranked = _ranked_relevance_arrays(db, db_labels, queries, query_labels, tax, mode, threads)
+    N, n_levels = len(db), db.layout.max_key + 1
+    leaves = np.arange(len(tax.leaves))
+    db_rows = tax.label_rows(db_labels)
+    leaf_count = np.bincount(db_rows, minlength=len(leaves))
+    max_n = max(ns, default=0)
 
-    for qi, (rels, _) in enumerate(ranked):
-        ideal = np.sort(rels)[::-1]
+    per_query = {m: np.full((len(queries), len(ns)), np.nan) for m in METRIC_NAMES}
+    wr_excluded = kept = 0
+    wr_n_sum = np.zeros(N)
+    wr_level_sum = np.zeros(n_levels)
+    seen_levels = np.zeros(n_levels, dtype=bool)
+    for qi, (q, q_row) in enumerate(zip(queries, tax.label_rows(query_labels))):
+        key = distance_keys(db, q)
+        leaf_rel = _relevance_at_depths(
+            tax, tax.shared_depths(np.full(len(leaves), q_row), leaves), mode)
+        rels = leaf_rel[db_rows[np.argsort(key, kind="stable")]]
+        by_rel = np.argsort(-leaf_rel, kind="stable")
+        ideal = np.repeat(leaf_rel[by_rel], leaf_count[by_rel])[:max_n]
         total = float(rels.sum())
         for ni, n in enumerate(ns):
+            dcg, ideal_dcg = dcg_at(rels, n), dcg_at(ideal, n)
             per_query["acg"][qi, ni] = acg_at(rels, n)
-            per_query["dcg"][qi, ni] = dcg_at(rels, n)
-            per_query["ndcg"][qi, ni] = ndcg_at(rels, ideal, n)
+            per_query["dcg"][qi, ni] = dcg
+            per_query["ndcg"][qi, ni] = 1.0 if ideal_dcg == 0.0 else dcg / ideal_dcg
             if total != 0.0:
-                per_query["weighted_recall"][qi, ni] = weighted_recall_at(rels, n)
+                per_query["weighted_recall"][qi, ni] = float(rels[:n].sum()) / total
         if total == 0.0:
             wr_excluded += 1
+            continue
+        kept += 1
+        recall = np.cumsum(rels) / total
+        wr_n_sum += recall
+        # the items within level l are the ranking's first ends[l]
+        level_size = np.bincount(key, minlength=n_levels)
+        seen_levels |= level_size > 0
+        ends = np.cumsum(level_size)
+        wr_level_sum += np.where(ends > 0, recall[ends - 1], 0.0)
 
     means = {}
     for metric in METRIC_NAMES:
@@ -213,6 +232,11 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
                              else np.full(len(ns), np.nan))
         else:
             means[metric] = vals.mean(axis=0)
+    if kept:
+        levels = np.flatnonzero(seen_levels)
+        curves = (wr_n_sum / kept, levels / db.layout.key_scale, wr_level_sum[levels] / kept)
+    else:
+        curves = (np.full(N, np.nan), np.array([0.0]), np.array([np.nan]))
     return MetricReport(
         ns=ns,
         mode=mode,
@@ -220,38 +244,21 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
         per_query=per_query,
         means=means,
         wr_excluded=wr_excluded,
+        wr_by_n=curves[0],
+        radii=curves[1],
+        wr_by_radius=curves[2],
     )
 
 
 def weighted_recall_curves(db: CodeDatabase, db_labels, queries, query_labels,
-                           tax: Taxonomy, mode: str = MODE_SHARED_LAYERS,
-                           max_radius_samples: int = 512, threads: int = 1):
+                           tax: Taxonomy, mode: str = MODE_SHARED_LAYERS):
     """Mean Weighted Recall sweeps for curve exports.
 
     Returns (ns, wr_by_n, radii, wr_by_radius): WR@n for every n in [1, N]
-    and WR within distance r over a grid of observed distances (subsampled
-    evenly past `max_radius_samples`). Zero-total-relevance queries are
-    excluded from both means.
+    and WR within distance r for every exact distance level r observed.
+    Zero-total-relevance queries are excluded from both means. The same
+    curves come with every eval_queries report.
     """
-    ranked = _ranked_relevance_arrays(db, db_labels, queries, query_labels, tax, mode, threads)
-    kept = [(rels, dists) for rels, dists in ranked if float(rels.sum()) != 0.0]
-    N = len(db)
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    if not kept:
-        empty = np.full(N, np.nan)
-        return ns, empty, np.array([0.0]), np.array([np.nan])
-
-    cum = np.stack([np.cumsum(rels) / rels.sum() for rels, _ in kept])
-    wr_by_n = cum.mean(axis=0)
-
-    radii = np.unique(np.concatenate([dists for _, dists in kept]))
-    if len(radii) > max_radius_samples:
-        take = np.linspace(0, len(radii) - 1, max_radius_samples).round().astype(int)
-        radii = radii[np.unique(take)]
-    wr_r = np.zeros((len(kept), len(radii)))
-    for i, (rels, dists) in enumerate(kept):
-        # dists are ascending; items within radius r form a prefix
-        counts = np.searchsorted(dists, radii, side="right")
-        cum_i = np.concatenate([[0.0], np.cumsum(rels) / rels.sum()])
-        wr_r[i] = cum_i[counts]
-    return ns, wr_by_n, radii, wr_r.mean(axis=0)
+    report = eval_queries(db, db_labels, queries, query_labels, tax, mode=mode, ns=())
+    return (np.arange(1, len(db) + 1, dtype=np.int64), report.wr_by_n, report.radii,
+            report.wr_by_radius)

@@ -158,7 +158,7 @@ def test_criterion_4_index_oracle_equivalence():
                     ok &= bool(np.array_equal(rad.distances, fast.distances[:m]))
             if not ok:
                 break
-    report("criterion 4: LUT search identical to brute-force oracle "
+    report("criterion 4: integer-key search identical to brute-force oracle "
            "(L in {32,48,64}, K in {3,4})", ok, t0, 30.0)
 
 

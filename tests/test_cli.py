@@ -292,3 +292,56 @@ def test_unknown_flag_fails_fast(trained):
     with pytest.raises(SystemExit) as exc:
         main(["query", "--codes", str(trained / "db.shdc"), "--bogus-flag", "1"])
     assert exc.value.code == 2
+
+
+class TestNumericFlags:
+    """Malformed numbers are validation errors: exit 3 and one CODE line."""
+
+    def _expect_invalid(self, capsys, argv, flag):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("INVALID_NUMBER: ") and flag in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--bits", "abc"), ("--hidden", "16,x"), ("--iters", "2.5"), ("--batch", ""),
+        ("--alpha", "one"), ("--eta0", "nan"), ("--seed", "s"), ("--iters", "0"),
+    ])
+    def test_train(self, dataset, tmp_path, capsys, flag, value):
+        argv = ["train", "--features", str(dataset / "train.shdf"),
+                "--labels", str(dataset / "train_labels.tsv"),
+                "--taxonomy", str(dataset / "taxonomy.tsv"),
+                "--bits", "16", "--hidden", "8", "--iters", "2", "--batch", "16",
+                "--out", str(tmp_path / "m.shdm"), flag, value]
+        self._expect_invalid(capsys, argv, "iters" if value == "0" else flag)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--supers", "x"), ("--subs", "1.5"), ("--dim", "d"), ("--n-train", "many"),
+        ("--n-query", "-"), ("--super-std", "abc"), ("--sub-std", "inf"),
+        ("--noise-std", "?"), ("--scale", ""), ("--seed", "0x1"), ("--supers", "0"),
+    ])
+    def test_gen(self, tmp_path, capsys, flag, value):
+        argv = ["gen", "--out-dir", str(tmp_path / "g"), flag, value]
+        self._expect_invalid(capsys, argv, "n_super" if value == "0" else flag)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "x"), ("--n", "0"), ("--threads", "x"), ("--threads", "0"),
+        ("--query-id", "first"),
+    ])
+    def test_query(self, trained, capsys, flag, value):
+        argv = ["query", "--codes", str(trained / "db.shdc"), "--query-id", "0", flag, value]
+        self._expect_invalid(capsys, argv, flag)
+
+    def test_query_threads_env(self, trained, capsys, monkeypatch):
+        monkeypatch.setenv("SHDH_THREADS", "x")
+        argv = ["query", "--codes", str(trained / "db.shdc"), "--query-id", "0"]
+        self._expect_invalid(capsys, argv, "SHDH_THREADS")
+
+    def test_eval_ns(self, dataset, trained, tmp_path, capsys):
+        argv = ["eval", "--db-codes", str(trained / "db.shdc"),
+                "--db-labels", str(dataset / "train_labels.tsv"),
+                "--query-codes", str(trained / "q.shdc"),
+                "--query-labels", str(dataset / "query_labels.tsv"),
+                "--taxonomy", str(dataset / "taxonomy.tsv"),
+                "--ns", "10,abc", "--out-prefix", str(tmp_path / "e")]
+        self._expect_invalid(capsys, argv, "--ns")

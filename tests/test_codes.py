@@ -3,6 +3,8 @@ import pytest
 
 from shdh.codes import (
     Architecture,
+    BinaryCode,
+    CodeDatabase,
     HashModel,
     encode_batch,
     forward,
@@ -14,6 +16,7 @@ from shdh.codes import (
 )
 from shdh.errors import CodeTooShort, HeightTooSmall, NonFiniteInput, ShapeMismatch
 from shdh.hierarchy import layer_weights
+from shdh.index import distance_keys
 
 from conftest import make_layout
 
@@ -64,9 +67,11 @@ class TestSegmentLayout:
         assert layout.segments[0].n_bytes == 2
         assert layout.segments[1].byte_offset == 2
         assert layout.total_bytes == 4
-        chunks = layout.chunks()
-        assert [c.valid_bits for c in chunks] == [8, 7, 8, 8]
-        assert chunks[1].mask == 0b0111_1111
+        # every byte scores its valid bits only: 8, 7 (one padding bit), 8, 8
+        q = BinaryCode(layout=layout, packed=np.zeros(4, np.uint8))
+        rows = np.diag(np.full(4, 0xFF, np.uint8))
+        keys = distance_keys(CodeDatabase(layout=layout, packed=rows), q)
+        np.testing.assert_array_equal(keys, [8 * 2, 7 * 2, 8 * 1, 8 * 1])
 
 
 class TestInitModel:

@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from shdh.codes import BinaryCode, CodeDatabase, quantize, segment_layout
+from shdh.codes import BinaryCode, CodeDatabase, quantize, segment_layout, unpack_bits
 from shdh.errors import EmptyDatabase, LayoutMismatch
 from shdh.index import (
-    POPCOUNT8,
     brute_force_topn,
-    build_query_lut,
+    distance_keys,
+    radius_key_bound,
     search_radius,
     search_topn,
     weighted_distance,
@@ -75,40 +77,110 @@ class TestWeightedDistance:
             assert dik <= dij + djk + 1e-12
 
 
-class TestQueryLUT:
-    def test_two_bits_in_weighted_chunk(self, hand_layout):
-        q = code_from_signs(hand_layout, [1, 1, 1, 1])
-        lut = build_query_lut(q)
-        assert lut.table[0][0b11] == pytest.approx(2 * (2 / 3), rel=1e-15)
-        assert lut.table[1][0b11] == pytest.approx(2 * (1 / 3), rel=1e-15)
+def exact_keys(layout, packed, q_packed):
+    """Integer keys sum_k (K+1-k) * ham_k from unpacked bits, segment by segment."""
+    mismatch = unpack_bits(layout, packed) != unpack_bits(layout, q_packed[None, :])
+    key = np.zeros(len(packed), dtype=np.int64)
+    for seg in layout.segments:
+        weight = 0 if seg.layer == 1 else layout.K + 1 - seg.layer
+        key += weight * mismatch[:, seg.bit_offset:seg.bit_offset + seg.width].sum(axis=1)
+    return key
 
-    def test_xor_zero_entry_is_zero(self, hand_layout):
-        q = code_from_signs(hand_layout, [1, -1, 1, -1])
-        lut = build_query_lut(q)
-        assert np.all(lut.table[:, 0] == 0.0)
-        assert np.all(lut.table >= 0.0)
+
+def fraction_distance(layout, a, b):
+    """D_w with u_k = 2(K+1-k)/(K(K-1)) as exact fractions, bit by bit."""
+    K = layout.K
+    total = Fraction(0)
+    for seg in layout.segments:
+        u = Fraction(0) if seg.layer == 1 else Fraction(2 * (K + 1 - seg.layer), K * (K - 1))
+        lo = seg.bit_offset
+        total += u * sum(int(x != y) for x, y in zip(a[lo:lo + seg.width], b[lo:lo + seg.width]))
+    return total
+
+
+class TestDistanceKeys:
+    def test_two_bits_in_weighted_segment(self, hand_layout):
+        q = code_from_signs(hand_layout, [1, 1, 1, 1])
+        rows = [code_from_signs(hand_layout, s).packed
+                for s in ([-1, -1, 1, 1], [1, 1, -1, -1], [-1, 1, 1, -1])]
+        db = CodeDatabase(layout=hand_layout, packed=np.stack(rows))
+        # integer weights K+1-k = (2, 1); D_w = key / 3
+        np.testing.assert_array_equal(distance_keys(db, q), [4, 2, 3])
+        assert hand_layout.key_scale == 3
+
+    def test_identical_codes_key_zero(self):
+        rng = np.random.default_rng(12)
+        layout = segment_layout(40, 5)
+        packed = random_codes(rng, layout, 30)
+        q = BinaryCode(layout=layout, packed=packed[4])
+        db = CodeDatabase(layout=layout, packed=np.stack([packed[4]] * 3 + [packed[5]]))
+        keys = distance_keys(db, q)
+        assert keys.dtype == np.uint16
+        np.testing.assert_array_equal(keys[:3], 0)
 
     def test_padding_bits_masked(self, hand_layout):
         q = code_from_signs(hand_layout, [1, 1, 1, 1])
-        lut = build_query_lut(q)
-        # chunk 0 holds 2 valid bits; xor bytes differing only in padding
-        # positions contribute nothing
-        assert lut.table[0][0b100] == 0.0
-        assert lut.table[0][0b1111_1100] == 0.0
+        # each segment holds 2 valid bits; bytes differing from the query
+        # only in padding positions score nothing
+        packed = np.array([[q.packed[0] | 0b100, q.packed[1]],
+                           [q.packed[0] | 0b1111_1100, q.packed[1] | 0b1111_1100]], np.uint8)
+        db = CodeDatabase(layout=hand_layout, packed=packed)
+        np.testing.assert_array_equal(distance_keys(db, q), [0, 0])
 
     def test_reproduces_weighted_distance_exactly(self):
         rng = np.random.default_rng(17)
         layout = segment_layout(33, 4)  # widths (11, 11, 11): padding in each
         packed = random_codes(rng, layout, 50)
         q = BinaryCode(layout=layout, packed=packed[0])
-        lut = build_query_lut(q)
+        db = CodeDatabase(layout=layout, packed=packed)
+        keys = distance_keys(db, q)
+        np.testing.assert_array_equal(keys, exact_keys(layout, packed, q.packed))
         for i in range(50):
-            xor = np.bitwise_xor(q.packed, packed[i])
-            via_lut = 0.0
-            for c in range(len(xor)):
-                via_lut += lut.table[c][xor[c]]
-            c = BinaryCode(layout=layout, packed=packed[i])
-            assert via_lut == weighted_distance(q, c)
+            c = db.code(i)
+            assert keys[i] / layout.key_scale == weighted_distance(q, c)
+            assert Fraction(int(keys[i]), layout.key_scale) == fraction_distance(
+                layout, q.unpack(), c.unpack())
+
+    def test_complement_scores_every_bit(self):
+        # a full word of differing bits, and keys past the uint16 range
+        for L, K, scheme in [(64, 5, "effective"), (32, 3, "effective"),
+                             (48, 4, "paper-literal"), (50_000, 3, "effective")]:
+            layout = segment_layout(L, K, scheme)
+            ones = code_from_signs(layout, np.ones(L))
+            zeros = code_from_signs(layout, -np.ones(L))
+            db = CodeDatabase(layout=layout, packed=np.stack([zeros.packed, ones.packed]))
+            keys = distance_keys(db, ones)
+            expected = sum(s.width * (0 if s.layer == 1 else K + 1 - s.layer)
+                           for s in layout.segments)
+            assert keys.tolist() == [expected, 0] and layout.max_key == expected
+
+    def test_paper_literal_12_bit_segments(self):
+        rng = np.random.default_rng(19)
+        layout = segment_layout(48, 4, "paper-literal")  # 4 x 12 bits, 4 padding bits each
+        assert layout.widths == (12, 12, 12, 12) and layout.segments[0].layer == 1
+        packed = random_codes(rng, layout, 400)
+        q = BinaryCode(layout=layout, packed=packed[0])
+        expected = exact_keys(layout, packed, q.packed)
+        dirty = packed.copy()
+        dirty[:, 0:2] = rng.integers(0, 256, size=(400, 2))  # the zero-weight segment
+        dirty[:, 1::2] |= 0b1111_0000                        # every padding nibble
+        for rows in (packed, dirty):
+            db = CodeDatabase(layout=layout, packed=rows)
+            np.testing.assert_array_equal(distance_keys(db, q), expected)
+
+    def test_topn_equals_lexsort_on_20k_codes(self):
+        rng = np.random.default_rng(20)
+        layout = segment_layout(64, 4)
+        packed = random_codes(rng, layout, 20_000)
+        db = CodeDatabase(layout=layout, packed=packed)
+        for qi in range(3):
+            q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+            key = exact_keys(layout, packed, q.packed)
+            order = np.lexsort((np.arange(len(key)), key))
+            for n in (10, len(key)):
+                res = search_topn(db, q, n)
+                np.testing.assert_array_equal(res.ids, order[:n])
+                np.testing.assert_array_equal(res.distances, key[order[:n]] / layout.key_scale)
 
 
 class TestSearch:
@@ -219,6 +291,39 @@ class TestSearchRadius:
         assert res.ids == full.ids[:m]
         np.testing.assert_array_equal(res.distances, full.distances[:m])
 
+    def test_key_bound_is_largest_reported_level(self):
+        # level / scale * scale rounds below the level for some K (e.g. 7/55*55)
+        for K in range(2, 12):
+            layout = segment_layout(40, K)
+            for level in range(layout.max_key + 1):
+                d = level / layout.key_scale
+                assert radius_key_bound(layout, d) == level
+                assert radius_key_bound(layout, float(np.nextafter(d, -1.0))) == level - 1
+            assert radius_key_bound(layout, float("inf")) == layout.max_key
+
+    def test_never_splits_a_level(self):
+        rng = np.random.default_rng(21)
+        layout = segment_layout(64, 4)
+        packed = random_codes(rng, layout, 5000)
+        db = CodeDatabase(layout=layout, packed=packed)
+        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        key = exact_keys(layout, packed, q.packed)
+        u = [s.weight for s in layout.segments]
+        for level in np.unique(key)[:40]:
+            d = level / layout.key_scale
+            # radii at, just below and just above the level, and a float sum
+            # of the layer weights that lands on the level
+            radii = [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
+            radii.append(sum(u[-1] for _ in range(int(level))))
+            for r in radii:
+                res = search_radius(db, q, float(r))
+                got = np.asarray(res.ids, dtype=np.int64)
+                top = key[got].max() if len(got) else -1
+                np.testing.assert_array_equal(np.sort(got), np.flatnonzero(key <= top))
+                assert np.all(res.distances <= r)
+                if r >= d:
+                    assert np.count_nonzero(key[got] == level) == np.count_nonzero(key == level)
+
 
 class TestBruteForceOracle:
     def test_identical_to_lut_path(self):
@@ -243,15 +348,20 @@ class TestBruteForceOracle:
         res = brute_force_topn(db, q, 30)
         assert np.all(np.diff(res.distances) >= 0)
 
+    def test_matches_fraction_distances(self):
+        rng = np.random.default_rng(13)
+        layout = segment_layout(20, 4, "paper-literal")
+        packed = random_codes(rng, layout, 40)
+        db = CodeDatabase(layout=layout, packed=packed)
+        q = BinaryCode(layout=layout, packed=packed[7])
+        exact = [fraction_distance(layout, q.unpack(), db.code(i).unpack()) for i in range(40)]
+        res = brute_force_topn(db, q, 40)
+        assert res.ids == sorted(range(40), key=lambda i: (exact[i], i))
+        assert res.distances.tolist() == [float(exact[i]) for i in res.ids]
+
     def test_single_item_hand_distance(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
         b = code_from_signs(hand_layout, [1, -1, -1, -1])
         db = CodeDatabase(layout=hand_layout, packed=np.stack([b.packed]))
         res = brute_force_topn(db, a, 1)
         assert res.distances[0] == pytest.approx(4 / 3, rel=1e-15)
-
-
-def test_popcount_table():
-    assert POPCOUNT8[0] == 0
-    assert POPCOUNT8[0xFF] == 8
-    assert POPCOUNT8[0b1011] == 3

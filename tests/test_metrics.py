@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shdh.codes import CodeDatabase, quantize, segment_layout
+import shdh.metrics
+from shdh.codes import BinaryCode, CodeDatabase, quantize, segment_layout
 from shdh.errors import IdealMismatch, RankTooLarge, UnknownLabel, ZeroTotalRelevance
 from shdh.metrics import (
     acg_at,
@@ -14,6 +15,9 @@ from shdh.metrics import (
     weighted_recall_curves,
 )
 
+from shdh.index import brute_force_topn
+
+from conftest import random_codes
 from oracles import acg_brute, dcg_brute, ndcg_brute, weighted_recall_brute
 
 # Frozen from the scalar oracle: DCG@3 of [1, 0.5, 0] and NDCG@3 of the
@@ -218,6 +222,83 @@ class TestEvalQueries:
         db = _two_item_db(layout, [a, a])
         with pytest.raises(RankTooLarge):
             eval_queries(db, ["rose", "sun"], [a], ["rose"], toy3, ns=[3])
+
+
+def _fig4_case(seed, n_db=120, n_q=8):
+    """Random codes over fig4's leaves; the database holds no 'tiger', so a
+    'tiger' query has zero total shared-layers relevance."""
+    rng = np.random.default_rng(seed)
+    layout = segment_layout(12, 4, "paper-literal")  # 3-bit segments, padding, dead layer 1
+    db = CodeDatabase(layout=layout, packed=random_codes(rng, layout, n_db))
+    labels = [str(x) for x in rng.choice(["rose", "sunflower", "oak"], size=n_db)]
+    qpacked = random_codes(rng, layout, n_q)
+    queries = [BinaryCode(layout=layout, packed=qpacked[i]) for i in range(n_q)]
+    qlabels = ["tiger"] + [str(x) for x in rng.choice(["rose", "sunflower", "oak", "tiger"],
+                                                      size=n_q - 1)]
+    return db, labels, queries, qlabels
+
+
+def _oracle_ranking(db, labels, q, q_label, tax, mode):
+    """(relevances, exact keys) along the brute-force oracle's full ranking."""
+    res = brute_force_topn(db, q, len(db))
+    rels = ranked_relevances(tax, q_label, [labels[i] for i in res.ids], mode)
+    keys = np.rint(res.distances * db.layout.key_scale).astype(np.int64)
+    return rels, keys
+
+
+class TestSinglePassEval:
+    @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
+    def test_bit_identical_to_public_metrics(self, fig4, mode):
+        db, labels, queries, qlabels = _fig4_case(30)
+        ns = [1, 5, 17, len(db)]
+        report = eval_queries(db, labels, queries, qlabels, fig4, mode=mode, ns=ns)
+        expected = {m: np.full((len(queries), len(ns)), np.nan) for m in report.per_query}
+        for qi, (q, ql) in enumerate(zip(queries, qlabels)):
+            rels, _ = _oracle_ranking(db, labels, q, ql, fig4, mode)
+            ideal = np.sort(rels)[::-1]
+            for ni, n in enumerate(ns):
+                expected["acg"][qi, ni] = acg_at(rels, n)
+                expected["dcg"][qi, ni] = dcg_at(rels, n)
+                expected["ndcg"][qi, ni] = ndcg_at(rels, ideal, n)
+                if rels.sum() != 0.0:
+                    expected["weighted_recall"][qi, ni] = weighted_recall_at(rels, n)
+        for metric, values in expected.items():
+            np.testing.assert_array_equal(report.per_query[metric], values)
+        if mode == "shared-layers":
+            assert report.wr_excluded == qlabels.count("tiger") >= 1
+            assert np.isnan(report.per_query["weighted_recall"][0]).all()
+            assert (report.per_query["ndcg"][0] == 1.0).all()
+
+    @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
+    def test_curves_from_oracle_rankings(self, fig4, mode):
+        db, labels, queries, qlabels = _fig4_case(31)
+        ns, wr_n, radii, wr_r = weighted_recall_curves(db, labels, queries, qlabels, fig4, mode)
+        kept = [_oracle_ranking(db, labels, q, ql, fig4, mode)
+                for q, ql in zip(queries, qlabels)]
+        kept = [(rels, keys) for rels, keys in kept if rels.sum() != 0.0]
+        levels = np.unique(np.concatenate([keys for _, keys in kept]))
+        # the radius grid is exactly the distance levels observed
+        np.testing.assert_array_equal(radii, levels / db.layout.key_scale)
+        recall = [np.cumsum(rels) / rels.sum() for rels, _ in kept]
+        np.testing.assert_allclose(wr_n, np.mean(recall, axis=0), rtol=1e-12, atol=1e-12)
+        within = [[r[np.count_nonzero(keys <= lv) - 1] if (keys <= lv).any() else 0.0
+                   for lv in levels] for r, (_, keys) in zip(recall, kept)]
+        np.testing.assert_allclose(wr_r, np.mean(within, axis=0), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(ns, np.arange(1, len(db) + 1))
+
+    def test_one_kernel_call_per_query(self, fig4, monkeypatch):
+        db, labels, queries, qlabels = _fig4_case(32)
+        calls = []
+        kernel = shdh.metrics.distance_keys
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(shdh.metrics, "distance_keys", counted)
+        report = eval_queries(db, labels, queries, qlabels, fig4, ns=[1, 10])
+        assert len(calls) == len(queries)
+        assert report.wr_by_n is not None and len(report.radii) == len(report.wr_by_radius)
 
 
 class TestCurves:
