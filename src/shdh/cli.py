@@ -72,9 +72,8 @@ def _int_list(text, flag: str) -> list[int]:
 
 
 def _check_threads(args):
-    """--threads (else SHDH_THREADS) is validated but no longer used: one
-    numpy pass per query is as fast on one thread as on several. The flag
-    and the variable stay accepted for one release."""
+    """--threads (else SHDH_THREADS) is validated but not used: one numpy
+    pass per query is as fast on one thread as on several."""
     if args.threads:
         _number(args.threads, "--threads", minimum=1)
     elif os.environ.get("SHDH_THREADS"):
@@ -362,7 +361,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", default=10, help="number of results per query")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force scan instead of the integer-key kernel")
-    p.add_argument("--threads", help="accepted and checked, no longer used (removed next release)")
+    p.add_argument("--threads", help="accepted and checked, not used")
     p.add_argument("--out", help="ranked TSV output (default stdout)")
     p.set_defaults(func=cmd_query)
 
@@ -375,7 +374,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--mode", default="shared-layers", choices=MODES)
     p.add_argument("--ns", default="100", help="cutoffs, comma-separated")
-    p.add_argument("--threads", help="accepted and checked, no longer used (removed next release)")
+    p.add_argument("--threads", help="accepted and checked, not used")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for .metrics.csv/.summary.json/.wr_vs_*.csv")
     p.set_defaults(func=cmd_eval)

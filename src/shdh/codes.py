@@ -241,21 +241,13 @@ class CodeDatabase:
     """Packed binary codes for n items, in insertion order."""
 
     layout: SegmentLayout
-    packed: np.ndarray          # uint8, n x total_bytes
-    ids: list = None            # unique item identifiers; defaults to 0..n-1
+    packed: np.ndarray          # uint8, n x total_bytes; an item's id is its row
 
     def __post_init__(self):
-        n = self.packed.shape[0]
         if self.packed.ndim != 2 or self.packed.shape[1] != self.layout.total_bytes:
             raise ShapeMismatch(
                 f"packed codes must be n x {self.layout.total_bytes}, got {self.packed.shape}"
             )
-        if self.ids is None:
-            self.ids = list(range(n))
-        if len(self.ids) != n:
-            raise ShapeMismatch(f"{len(self.ids)} ids for {n} codes")
-        if len(set(self.ids)) != n:
-            raise ShapeMismatch("item ids must be unique")
 
     def __len__(self) -> int:
         return self.packed.shape[0]
@@ -264,14 +256,14 @@ class CodeDatabase:
         return BinaryCode(layout=self.layout, packed=self.packed[i])
 
 
-def encode_batch(model: HashModel, features: np.ndarray, ids=None) -> CodeDatabase:
+def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
     """Forward + quantize every row, preserving input order."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ShapeMismatch(f"expected n x d features, got shape {features.shape}")
     if features.shape[0] == 0:
         packed = np.zeros((0, model.layout.total_bytes), dtype=np.uint8)
-        return CodeDatabase(layout=model.layout, packed=packed, ids=ids)
+        return CodeDatabase(layout=model.layout, packed=packed)
     relaxed, _ = forward(model, features)
     bits = (relaxed > 0).astype(np.uint8)
-    return CodeDatabase(layout=model.layout, packed=pack_bits(model.layout, bits), ids=ids)
+    return CodeDatabase(layout=model.layout, packed=pack_bits(model.layout, bits))

@@ -114,7 +114,9 @@ class Taxonomy:
                 )
 
         self.weights = layer_weights(self.K)
-        self._sim_by_depth = _similarity_by_depth(self.K)
+        # sim_by_depth[d]: similarity of two leaves whose deepest common
+        # ancestor sits at depth d
+        self.sim_by_depth = _similarity_by_depth(self.K)
         # Leaf ancestor chains as integer rows for vectorized similarity.
         node_ids = {n: i for i, n in enumerate(sorted(parent))}
         leaf_list = sorted(self.leaves)
@@ -168,17 +170,11 @@ class Taxonomy:
 
     def shared_depth(self, a: str, b: str) -> int:
         """Depth of the deepest common ancestor of two leaves."""
-        ca = self._leaf_chains[self._leaf_index(a)]
-        cb = self._leaf_chains[self._leaf_index(b)]
-        agree = ca == cb
-        d = 0
-        while d < self.K and agree[d]:
-            d += 1
-        return d
+        return int(self.shared_depths(self._leaf_index(a), self._leaf_index(b)))
 
     def hier_similarity(self, a: str, b: str) -> float:
         """Layer-weighted similarity of two leaf labels, in [-1, 1]."""
-        return float(self._sim_by_depth[self.shared_depth(a, b)])
+        return float(self.sim_by_depth[self.shared_depth(a, b)])
 
     def label_rows(self, labels) -> np.ndarray:
         """Leaf chain-row indices for a sequence of labels."""
@@ -186,20 +182,22 @@ class Taxonomy:
             (self._leaf_index(lab) for lab in labels), dtype=np.int64, count=len(labels)
         )
 
-    def shared_depths(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        """Pairwise deepest-common-ancestor depths for two row-index vectors."""
+    def shared_depths(self, rows_a, rows_b) -> np.ndarray:
+        """Deepest-common-ancestor depths of leaf rows (see label_rows).
+
+        The one depth kernel: it broadcasts its arguments like a numpy binary
+        operation, so a scalar against a vector, two vectors, or a column
+        against a row (a pairwise grid) all work.
+        """
         ca = self._leaf_chains[rows_a]
         cb = self._leaf_chains[rows_b]
-        depths = np.zeros(len(rows_a), dtype=np.int64)
-        alive = np.ones(len(rows_a), dtype=bool)
+        shape = np.broadcast_shapes(np.shape(rows_a), np.shape(rows_b))
+        depths = np.zeros(shape, dtype=np.int64)
+        alive = np.ones(shape, dtype=bool)
         for k in range(self.K):
-            alive &= ca[:, k] == cb[:, k]
+            alive &= ca[..., k] == cb[..., k]
             depths += alive
         return depths
-
-    def similarities_at_depths(self, depths: np.ndarray) -> np.ndarray:
-        """Similarity values for deepest-common-ancestor depths in [1, K]."""
-        return self._sim_by_depth[depths]
 
     def similarity_matrix(self, labels, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
         """Dense pairwise hierarchical similarities for the given leaf labels."""
@@ -210,13 +208,7 @@ class Taxonomy:
                 "compute per-batch similarities instead"
             )
         rows = self.label_rows(labels)
-        chains = self._leaf_chains[rows]  # n x K
-        depths = np.zeros((n, n), dtype=np.int64)
-        alive = np.ones((n, n), dtype=bool)
-        for k in range(self.K):
-            alive &= chains[:, k, None] == chains[None, :, k]
-            depths += alive
-        return self._sim_by_depth[depths]
+        return self.sim_by_depth[self.shared_depths(rows[:, None], rows[None, :])]
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -246,10 +238,4 @@ def parse_taxonomy(text: str) -> Taxonomy:
         n_edges += 1
     if n_edges == 0:
         raise EmptyInput("taxonomy file contains no edges")
-    # A parent that later appeared as a child keeps its recorded parent; nodes
-    # never seen as a child keep None. Zero such nodes means every node has a
-    # parent, which in a finite graph forces a cycle.
-    roots = [n for n, p in parent.items() if p is None]
-    if not roots:
-        raise CycleDetected("every node has a parent; the edge list contains a cycle")
     return Taxonomy(parent)

@@ -33,7 +33,7 @@ from .errors import EmptyDatabase, LayoutMismatch
 class SearchResult:
     """Hits ascending by weighted distance, ties by insertion order."""
 
-    ids: list
+    ids: list                   # database rows
     distances: np.ndarray       # weighted Hamming distance D_w
     inner_products: np.ndarray  # sum_k u_k * (L_k - 2 * ham_k)
 
@@ -120,20 +120,16 @@ def _take(db: CodeDatabase, key: np.ndarray, order: np.ndarray) -> SearchResult:
     k = key[order].astype(np.int64)
     scale = db.layout.key_scale
     return SearchResult(
-        ids=[db.ids[i] for i in order.tolist()],
+        ids=order.tolist(),
         distances=k / scale,
         inner_products=(db.layout.max_key - 2 * k) / scale,
     )
 
 
-def weighted_distance(a: BinaryCode, b: BinaryCode, layout: SegmentLayout | None = None) -> float:
+def weighted_distance(a: BinaryCode, b: BinaryCode) -> float:
     """D_w between two codes; 0 iff all nonzero-weight segments agree."""
-    if layout is None:
-        layout = a.layout
-    _require_same_layout(a.layout, layout)
-    _require_same_layout(b.layout, layout)
-    key = distance_keys(CodeDatabase(layout=layout, packed=b.packed[None, :]), a)
-    return float(key[0]) / layout.key_scale
+    key = distance_keys(CodeDatabase(layout=b.layout, packed=b.packed[None, :]), a)
+    return float(key[0]) / a.layout.key_scale
 
 
 def search_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
@@ -181,7 +177,7 @@ def brute_force_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
     order = np.array(sorted(range(len(db)), key=lambda i: (num[i], i))[:n], dtype=np.int64)
     den = K * (K - 1)
     return SearchResult(
-        ids=[db.ids[i] for i in order.tolist()],
+        ids=order.tolist(),
         distances=dist_num[order] / den,
         inner_products=inner_num[order] / den,
     )

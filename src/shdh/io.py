@@ -236,14 +236,9 @@ def write_labels(path, ids, labels):
 # --- CSV artifacts --------------------------------------------------------------
 
 def write_trainlog(path, log: TrainLog):
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "eta", "loss", "fit", "trace"])
-    for rec in log.records:
-        writer.writerow([rec.iteration, repr(rec.eta), repr(rec.loss),
-                         repr(rec.fit), repr(rec.trace)])
-    with atomic_write(path, "w") as f:
-        f.write(buf.getvalue())
+    write_csv(path, ["iteration", "eta", "loss", "fit", "trace"],
+              ([rec.iteration, repr(rec.eta), repr(rec.loss), repr(rec.fit), repr(rec.trace)]
+               for rec in log.records))
 
 
 def write_csv(path, header, rows):

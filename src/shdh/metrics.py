@@ -41,14 +41,20 @@ FORMULAS = {
 }
 
 
+def _relevance_by_depth(tax: Taxonomy, mode: str) -> np.ndarray:
+    """K+1 relevances indexed by the depth of the deepest common ancestor
+    (index 0 is unused: every pair shares the root)."""
+    if mode == MODE_SHARED_LAYERS:
+        return np.arange(tax.K + 1, dtype=np.float64) - 1.0
+    if mode == MODE_HIER_SIMILARITY:
+        return tax.sim_by_depth
+    raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
+
+
 def relevance(tax: Taxonomy, q_label: str, item_label: str,
               mode: str = MODE_SHARED_LAYERS) -> float:
     """Relevance of one item to the query under the chosen mode."""
-    if mode == MODE_SHARED_LAYERS:
-        return float(tax.shared_depth(q_label, item_label) - 1)
-    if mode == MODE_HIER_SIMILARITY:
-        return tax.hier_similarity(q_label, item_label)
-    raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
+    return float(_relevance_by_depth(tax, mode)[tax.shared_depth(q_label, item_label)])
 
 
 def _check_rank(rels: np.ndarray, n: int):
@@ -140,25 +146,9 @@ class MetricReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
-def _relevance_at_depths(tax: Taxonomy, depths: np.ndarray, mode: str) -> np.ndarray:
-    if mode == MODE_SHARED_LAYERS:
-        return (depths - 1).astype(np.float64)
-    if mode == MODE_HIER_SIMILARITY:
-        return tax.similarities_at_depths(depths)
-    raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
-
-
-def ranked_relevances(tax: Taxonomy, q_label: str, ranked_labels,
-                      mode: str = MODE_SHARED_LAYERS) -> np.ndarray:
-    """Relevance of every database item, in retrieval-ranking order."""
-    q_rows = tax.label_rows([q_label] * len(ranked_labels))
-    item_rows = tax.label_rows(ranked_labels)
-    return _relevance_at_depths(tax, tax.shared_depths(q_rows, item_rows), mode)
-
-
 def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_labels,
                  tax: Taxonomy, mode: str = MODE_SHARED_LAYERS,
-                 ns: list[int] = (100,), query_ids=None, threads: int = 1) -> MetricReport:
+                 ns: list[int] = (100,)) -> MetricReport:
     """Rank the database once per query; score all four metrics at each n
     and the mean Weighted Recall curves from that one ranking.
 
@@ -170,21 +160,17 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
 
     Queries whose total relevance is zero are excluded from the Weighted
     Recall means (their WR cells are NaN) and from both curves; the
-    exclusion count is reported. `threads` is accepted for compatibility and
-    ignored: one numpy pass per query is faster than a thread pool.
+    exclusion count is reported. Queries are identified by position.
     """
     if len(queries) != len(query_labels):
         raise ShapeMismatch(f"{len(queries)} queries but {len(query_labels)} labels")
     if len(db_labels) != len(db):
         raise ShapeMismatch(f"{len(db_labels)} labels for {len(db)} database items")
-    if mode not in MODES:
-        raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
+    rel_by_depth = _relevance_by_depth(tax, mode)
     ns = list(ns)
     for n in ns:
         if not 1 <= n <= len(db):
             raise RankTooLarge(f"rank {n} outside [1, {len(db)}]")
-    if query_ids is None:
-        query_ids = list(range(len(queries)))
 
     N, n_levels = len(db), db.layout.max_key + 1
     leaves = np.arange(len(tax.leaves))
@@ -199,8 +185,7 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     seen_levels = np.zeros(n_levels, dtype=bool)
     for qi, (q, q_row) in enumerate(zip(queries, tax.label_rows(query_labels))):
         key = distance_keys(db, q)
-        leaf_rel = _relevance_at_depths(
-            tax, tax.shared_depths(np.full(len(leaves), q_row), leaves), mode)
+        leaf_rel = rel_by_depth[tax.shared_depths(q_row, leaves)]
         rels = leaf_rel[db_rows[np.argsort(key, kind="stable")]]
         by_rel = np.argsort(-leaf_rel, kind="stable")
         ideal = np.repeat(leaf_rel[by_rel], leaf_count[by_rel])[:max_n]
@@ -240,7 +225,7 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     return MetricReport(
         ns=ns,
         mode=mode,
-        query_ids=list(query_ids),
+        query_ids=list(range(len(queries))),
         per_query=per_query,
         means=means,
         wr_excluded=wr_excluded,
@@ -248,17 +233,3 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
         radii=curves[1],
         wr_by_radius=curves[2],
     )
-
-
-def weighted_recall_curves(db: CodeDatabase, db_labels, queries, query_labels,
-                           tax: Taxonomy, mode: str = MODE_SHARED_LAYERS):
-    """Mean Weighted Recall sweeps for curve exports.
-
-    Returns (ns, wr_by_n, radii, wr_by_radius): WR@n for every n in [1, N]
-    and WR within distance r for every exact distance level r observed.
-    Zero-total-relevance queries are excluded from both means. The same
-    curves come with every eval_queries report.
-    """
-    report = eval_queries(db, db_labels, queries, query_labels, tax, mode=mode, ns=())
-    return (np.arange(1, len(db) + 1, dtype=np.int64), report.wr_by_n, report.radii,
-            report.wr_by_radius)

@@ -10,6 +10,15 @@ import math
 
 # --- hierarchy -----------------------------------------------------------------
 
+def parent_from_edges(text: str) -> dict:
+    """Parent dictionary of a 'parent<TAB>child' edge list; the root maps to None."""
+    edges = [line.split("\t") for line in text.splitlines() if line.strip()]
+    parent = {child: par for par, child in edges}
+    for par, _ in edges:
+        parent.setdefault(par, None)
+    return parent
+
+
 def chain_from_root(parent: dict, node: str) -> list[str]:
     """Ancestor path root..node found by walking parent pointers."""
     path = [node]
@@ -35,6 +44,16 @@ def hier_similarity_brute(parent: dict, K: int, a: str, b: str) -> float:
     while d < K and matches[d]:
         d += 1
     return 1.0 - 2.0 * ((K - d) * (K - d + 1)) / (K * (K - 1))
+
+
+def relevance_brute(parent: dict, K: int, a: str, b: str, mode: str) -> float:
+    """Relevance by walking parent chains: the count of shared non-root
+    layers, or the layer-weighted similarity."""
+    if mode == "shared-layers":
+        return float(sum(layer_similarity_brute(parent, a, b, k) for k in range(1, K + 1)))
+    if mode == "hier-similarity":
+        return hier_similarity_brute(parent, K, a, b)
+    raise ValueError(f"unknown relevance mode {mode!r}")
 
 
 def random_taxonomy(rng, K: int, max_leaves: int = 200):

@@ -14,7 +14,12 @@ from shdh.errors import (
 )
 from shdh.hierarchy import Taxonomy, layer_weights, parse_taxonomy
 
-from oracles import hier_similarity_brute, layer_similarity_brute, random_taxonomy
+from oracles import (
+    hier_similarity_brute,
+    layer_similarity_brute,
+    random_taxonomy,
+    relevance_brute,
+)
 
 
 class TestParse:
@@ -149,6 +154,34 @@ class TestHierSimilarity:
     def test_only_leaves_accepted(self, fig4):
         with pytest.raises(UnknownLabel):
             fig4.hier_similarity("plant", "rose")
+
+
+def _depth_brute(parent, K, a, b):
+    """Deepest-common-ancestor depth: the root plus the shared non-root layers."""
+    return 1 + int(relevance_brute(parent, K, a, b, "shared-layers"))
+
+
+class TestSharedDepths:
+    def test_broadcast_shapes_match_parent_chain_oracle(self):
+        rng = np.random.default_rng(37)
+        for K in range(2, 7):
+            parent, leaves = random_taxonomy(rng, K, max_leaves=40)
+            tax = Taxonomy(parent)
+            a_labels = [str(x) for x in rng.choice(leaves, size=7)]
+            b_labels = [str(x) for x in rng.choice(leaves, size=11)]
+            a_rows, b_rows = tax.label_rows(a_labels), tax.label_rows(b_labels)
+
+            one = tax.shared_depths(a_rows[0], b_rows)  # () x (n,)
+            assert one.shape == (len(b_labels),)
+            assert one.tolist() == [_depth_brute(parent, K, a_labels[0], b) for b in b_labels]
+
+            grid = tax.shared_depths(a_rows[:, None], b_rows[None, :])  # (n,1) x (1,m)
+            assert grid.shape == (len(a_labels), len(b_labels))
+            assert grid.tolist() == [[_depth_brute(parent, K, a, b) for b in b_labels]
+                                     for a in a_labels]
+
+            for a, b in zip(a_labels, b_labels):
+                assert tax.shared_depth(a, b) == _depth_brute(parent, K, a, b)
 
 
 class TestSimilarityMatrix:

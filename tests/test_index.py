@@ -233,10 +233,9 @@ class TestSearch:
         q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
         res = search_topn(db, q, 40)
         # inner = sum_k u_k (L_k - 2 ham_k); check via per-segment recompute
-        for row, (item_id, dist, inner) in enumerate(res.rows()):
-            i = db.ids.index(item_id)
+        for item_id, dist, inner in res.rows():
             check = 0.0
-            qa, ca = q.unpack(), db.code(i).unpack()
+            qa, ca = q.unpack(), db.code(item_id).unpack()
             for seg in layout.segments:
                 sl = slice(seg.bit_offset, seg.bit_offset + seg.width)
                 ham = int((qa[sl] != ca[sl]).sum())

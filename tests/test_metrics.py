@@ -9,16 +9,25 @@ from shdh.metrics import (
     dcg_at,
     eval_queries,
     ndcg_at,
-    ranked_relevances,
     relevance,
     weighted_recall_at,
-    weighted_recall_curves,
 )
 
+from shdh.hierarchy import Taxonomy
 from shdh.index import brute_force_topn
 
-from conftest import random_codes
-from oracles import acg_brute, dcg_brute, ndcg_brute, weighted_recall_brute
+from conftest import FIG4_TEXT, random_codes
+from oracles import (
+    acg_brute,
+    dcg_brute,
+    ndcg_brute,
+    parent_from_edges,
+    random_taxonomy,
+    relevance_brute,
+    weighted_recall_brute,
+)
+
+FIG4_PARENT = parent_from_edges(FIG4_TEXT)
 
 # Frozen from the scalar oracle: DCG@3 of [1, 0.5, 0] and NDCG@3 of the
 # reversed ranking of [2, 1, 0] under gains 2^s - 1 and log2(i+1) discounts.
@@ -39,6 +48,8 @@ class TestRelevance:
     def test_unknown(self, toy3):
         with pytest.raises(UnknownLabel):
             relevance(toy3, "rose", "daisy")
+        with pytest.raises(ValueError):
+            relevance(toy3, "rose", "sun", "shared-depth")
 
     def test_modes_rank_candidates_identically(self, fig4):
         # both modes are monotone in the depth of the deepest common ancestor
@@ -46,6 +57,16 @@ class TestRelevance:
         shared = [relevance(fig4, "rose", c, "shared-layers") for c in candidates]
         hier = [relevance(fig4, "rose", c, "hier-similarity") for c in candidates]
         assert np.argsort(shared).tolist() == np.argsort(hier).tolist()
+
+    @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
+    def test_matches_parent_chain_oracle(self, mode):
+        rng = np.random.default_rng(41)
+        for K in range(2, 7):
+            parent, leaves = random_taxonomy(rng, K, max_leaves=30)
+            tax = Taxonomy(parent)
+            for _ in range(40):
+                a, b = (str(x) for x in rng.choice(leaves, size=2))
+                assert relevance(tax, a, b, mode) == relevance_brute(parent, K, a, b, mode)
 
 
 class TestACG:
@@ -203,19 +224,6 @@ class TestEvalQueries:
         assert report.wr_excluded == 1
         assert np.isnan(report.per_query["weighted_recall"][0, 0])
 
-    def test_threads_match_serial(self, toy3):
-        rng = np.random.default_rng(7)
-        layout = segment_layout(16, 3)
-        labels = ["rose", "sun", "tiger", "oak"] * 8
-        packed = np.stack([quantize(rng.normal(size=16), layout).packed for _ in labels])
-        db = CodeDatabase(layout=layout, packed=packed)
-        queries = [quantize(rng.normal(size=16), layout) for _ in range(6)]
-        qlabels = ["rose", "tiger", "sun", "oak", "rose", "sun"]
-        serial = eval_queries(db, labels, queries, qlabels, toy3, ns=[5, 10], threads=1)
-        pooled = eval_queries(db, labels, queries, qlabels, toy3, ns=[5, 10], threads=4)
-        for metric in serial.per_query:
-            np.testing.assert_array_equal(serial.per_query[metric], pooled.per_query[metric])
-
     def test_rank_too_large(self, toy3):
         layout = segment_layout(8, 3)
         a = quantize(np.full(8, 1.0), layout)
@@ -238,10 +246,12 @@ def _fig4_case(seed, n_db=120, n_q=8):
     return db, labels, queries, qlabels
 
 
-def _oracle_ranking(db, labels, q, q_label, tax, mode):
-    """(relevances, exact keys) along the brute-force oracle's full ranking."""
+def _oracle_ranking(db, labels, q, q_label, mode):
+    """(relevances, exact keys) along the brute-force oracle's full ranking,
+    with relevance from fig4's parent chains."""
     res = brute_force_topn(db, q, len(db))
-    rels = ranked_relevances(tax, q_label, [labels[i] for i in res.ids], mode)
+    rels = np.array([relevance_brute(FIG4_PARENT, 4, q_label, labels[i], mode)
+                     for i in res.ids])
     keys = np.rint(res.distances * db.layout.key_scale).astype(np.int64)
     return rels, keys
 
@@ -254,7 +264,7 @@ class TestSinglePassEval:
         report = eval_queries(db, labels, queries, qlabels, fig4, mode=mode, ns=ns)
         expected = {m: np.full((len(queries), len(ns)), np.nan) for m in report.per_query}
         for qi, (q, ql) in enumerate(zip(queries, qlabels)):
-            rels, _ = _oracle_ranking(db, labels, q, ql, fig4, mode)
+            rels, _ = _oracle_ranking(db, labels, q, ql, mode)
             ideal = np.sort(rels)[::-1]
             for ni, n in enumerate(ns):
                 expected["acg"][qi, ni] = acg_at(rels, n)
@@ -272,9 +282,9 @@ class TestSinglePassEval:
     @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
     def test_curves_from_oracle_rankings(self, fig4, mode):
         db, labels, queries, qlabels = _fig4_case(31)
-        ns, wr_n, radii, wr_r = weighted_recall_curves(db, labels, queries, qlabels, fig4, mode)
-        kept = [_oracle_ranking(db, labels, q, ql, fig4, mode)
-                for q, ql in zip(queries, qlabels)]
+        report = eval_queries(db, labels, queries, qlabels, fig4, mode=mode, ns=())
+        wr_n, radii, wr_r = report.wr_by_n, report.radii, report.wr_by_radius
+        kept = [_oracle_ranking(db, labels, q, ql, mode) for q, ql in zip(queries, qlabels)]
         kept = [(rels, keys) for rels, keys in kept if rels.sum() != 0.0]
         levels = np.unique(np.concatenate([keys for _, keys in kept]))
         # the radius grid is exactly the distance levels observed
@@ -284,7 +294,6 @@ class TestSinglePassEval:
         within = [[r[np.count_nonzero(keys <= lv) - 1] if (keys <= lv).any() else 0.0
                    for lv in levels] for r, (_, keys) in zip(recall, kept)]
         np.testing.assert_allclose(wr_r, np.mean(within, axis=0), rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(ns, np.arange(1, len(db) + 1))
 
     def test_one_kernel_call_per_query(self, fig4, monkeypatch):
         db, labels, queries, qlabels = _fig4_case(32)
@@ -310,18 +319,11 @@ class TestCurves:
         db = CodeDatabase(layout=layout, packed=packed)
         queries = [quantize(rng.normal(size=16), layout) for _ in range(4)]
         qlabels = ["rose", "sun", "oak", "tiger"]
-        ns, wr_n, radii, wr_r = weighted_recall_curves(db, labels, queries, qlabels, toy3)
-        assert len(ns) == len(db) and ns[0] == 1
+        report = eval_queries(db, labels, queries, qlabels, toy3, ns=())
+        wr_n, radii, wr_r = report.wr_by_n, report.radii, report.wr_by_radius
+        assert len(wr_n) == len(db)
         assert np.all(np.diff(wr_n) >= -1e-12)
         assert wr_n[-1] == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(radii) > 0)
         assert np.all(np.diff(wr_r) >= -1e-12)
         assert wr_r[-1] == pytest.approx(1.0, rel=1e-12)
-
-    def test_ranked_relevances_order(self, toy3):
-        layout = segment_layout(8, 3)
-        a = quantize(np.full(8, 1.0), layout)
-        b = quantize(np.full(8, -1.0), layout)
-        db = _two_item_db(layout, [a, b])
-        rels = ranked_relevances(toy3, "rose", ["rose", "tiger"])
-        np.testing.assert_array_equal(rels, [2.0, 0.0])
