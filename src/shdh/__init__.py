@@ -19,7 +19,7 @@ from .codes import (
     segment_layout,
 )
 from .errors import ShdhError
-from .hierarchy import LayerWeights, Taxonomy, layer_weights, parse_taxonomy
+from .hierarchy import Taxonomy, layer_weights, parse_taxonomy
 from .index import (
     SearchResult,
     brute_force_topn,
@@ -39,10 +39,7 @@ from .metrics import (
 )
 from .train import (
     TrainConfig,
-    TrainLog,
     backprop_step,
-    finite_diff_gradient,
-    loss,
     loss_gradient,
     train,
 )
@@ -52,7 +49,6 @@ __all__ = [
     "BinaryCode",
     "CodeDatabase",
     "HashModel",
-    "LayerWeights",
     "MetricReport",
     "SCHEME_EFFECTIVE",
     "SCHEME_PAPER_LITERAL",
@@ -61,7 +57,6 @@ __all__ = [
     "ShdhError",
     "Taxonomy",
     "TrainConfig",
-    "TrainLog",
     "acg_at",
     "backprop_step",
     "brute_force_topn",
@@ -69,11 +64,9 @@ __all__ = [
     "distance_keys",
     "encode_batch",
     "eval_queries",
-    "finite_diff_gradient",
     "forward",
     "init_model",
     "layer_weights",
-    "loss",
     "loss_gradient",
     "ndcg_at",
     "parse_taxonomy",

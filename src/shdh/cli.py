@@ -49,7 +49,7 @@ from .io import (
     write_taxonomy,
     write_trainlog,
 )
-from .metrics import MODES, eval_queries
+from .metrics import METRIC_NAMES, MODES, eval_queries
 from .train import TrainConfig, train
 
 
@@ -92,9 +92,13 @@ def _write_manifest(primary_output, command: str, args: argparse.Namespace):
 
 
 def _load_config_defaults(argv, subparsers):
-    """Pre-scan for --config and install its key=value pairs as defaults on
-    every subparser. set_defaults replaces action defaults, so config values
-    sit between built-in defaults and explicit flags in precedence."""
+    """Pre-scan for --config and install each key=value pair as a default on
+    the subparsers that define that option. set_defaults replaces action
+    defaults, so config values sit between built-in defaults and explicit
+    flags in precedence. It also skips argparse's own checks, so they are
+    made here: a key that no subcommand defines, a value outside an
+    option's choices, and a store_true value other than true or false are
+    BAD_FILE_FORMAT errors."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -102,17 +106,30 @@ def _load_config_defaults(argv, subparsers):
         return
     from .io import read_text
 
-    defaults = {}
+    options: dict[str, list] = {}
+    for sub in subparsers.values():
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                options.setdefault(action.dest, []).append((sub, action))
     for lineno, raw in enumerate(read_text(known.config).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{known.config} line {lineno}"
         if "=" not in line:
-            raise FileFormatError(f"{known.config} line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    for sub in subparsers.values():
-        sub.set_defaults(**defaults)
+            raise FileFormatError(f"{where}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in options:
+            raise FileFormatError(f"{where}: no command takes the key {key!r}")
+        for sub, action in options[key]:
+            switch = action.nargs == 0  # store_true
+            if switch and value not in ("true", "false"):
+                raise FileFormatError(f"{where}: {key} must be true or false, got {value!r}")
+            if action.choices is not None and value not in action.choices:
+                raise FileFormatError(
+                    f"{where}: {key} must be one of {', '.join(action.choices)}, got {value!r}")
+            sub.set_defaults(**{key: value == "true" if switch else value})
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -236,9 +253,9 @@ def cmd_eval(args) -> int:
                zip(report.radii.tolist(), report.wr_by_radius.tolist())])
     _write_manifest(prefix, "eval", args)
 
-    for metric, by_n in sorted(report.summary()["means"].items()):
-        for n, val in sorted(by_n.items(), key=lambda kv: int(kv[0])):
-            print(f"{metric}@{n} = {val:.6f}")
+    for metric in sorted(METRIC_NAMES):
+        for n in sorted(set(report.ns)):
+            print(f"{metric}@{n} = {report.mean(metric, n):.6f}")
     if report.wr_excluded:
         print(f"weighted_recall excluded {report.wr_excluded} zero-relevance queries")
     return 0

@@ -77,7 +77,7 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
     """Split L bits into per-layer segments with their layer weights."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    weights = layer_weights(K)  # validates K >= 2
+    u = layer_weights(K)  # validates K >= 2
     n_seg = K if scheme == SCHEME_PAPER_LITERAL else K - 1
     if L <= n_seg:
         raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
@@ -92,7 +92,7 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
         seg = Segment(
             layer=layer,
             width=width,
-            weight=weights.weight(layer),
+            weight=float(u[layer - 1]),
             bit_offset=bit_off,
             byte_offset=byte_off,
         )
@@ -134,14 +134,6 @@ class HashModel:
     @property
     def n_layers(self) -> int:
         return len(self.W)
-
-    def copy(self) -> "HashModel":
-        return HashModel(
-            arch=self.arch,
-            layout=self.layout,
-            W=[w.copy() for w in self.W],
-            v=[b.copy() for b in self.v],
-        )
 
 
 def init_model(arch: Architecture, layout: SegmentLayout, seed) -> HashModel:

@@ -55,10 +55,6 @@ class UnknownLabel(InputError):
     code = "UNKNOWN_LABEL"
 
 
-class LayerOutOfRange(ValidationError):
-    code = "LAYER_OUT_OF_RANGE"
-
-
 class HeightTooSmall(ValidationError):
     code = "HEIGHT_TOO_SMALL"
 

@@ -10,8 +10,6 @@ the weighted per-layer agreements combine into a single similarity in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,6 @@ from .errors import (
     EmptyInput,
     FileFormatError,
     HeightTooSmall,
-    LayerOutOfRange,
     MultipleRoots,
     RaggedLeafDepth,
     SimilarityCapExceeded,
@@ -32,28 +29,16 @@ from .errors import (
 DEFAULT_MATRIX_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class LayerWeights:
-    """Per-layer importance weights: zero at the root, decreasing below it."""
-
-    K: int
-    u: np.ndarray  # length K, u[k-1] is the weight of layer k
-
-    def weight(self, k: int) -> float:
-        if not 1 <= k <= self.K:
-            raise LayerOutOfRange(f"layer {k} outside [1, {self.K}]")
-        return float(self.u[k - 1])
-
-
-def layer_weights(K: int) -> LayerWeights:
-    """Weights u_k = 2(K+1-k)/(K(K-1)) for k >= 2, u_1 = 0."""
+def layer_weights(K: int) -> np.ndarray:
+    """Read-only weights u (length K, u[k-1] weighs layer k):
+    u_k = 2(K+1-k)/(K(K-1)) for k >= 2, u_1 = 0."""
     if K < 2:
         raise HeightTooSmall(f"taxonomy height must be >= 2, got {K}")
     u = np.zeros(K, dtype=np.float64)
     ks = np.arange(2, K + 1, dtype=np.float64)
     u[1:] = 2.0 * (K + 1 - ks) / (K * (K - 1))
     u.setflags(write=False)
-    return LayerWeights(K=K, u=u)
+    return u
 
 
 def _similarity_by_depth(K: int) -> np.ndarray:
@@ -73,7 +58,13 @@ def _similarity_by_depth(K: int) -> np.ndarray:
 
 
 class Taxonomy:
-    """Rooted label tree of fixed height with all leaves at the bottom layer."""
+    """Rooted label tree of fixed height with all leaves at the bottom layer.
+
+    `parent` maps every node to its parent (None for the root). Raises
+    UnknownLabel when a node names a parent that is not itself a node, and
+    CycleDetected, MultipleRoots, HeightTooSmall or RaggedLeafDepth for a
+    map that is not such a tree. Only the leaves' ancestor chains are kept.
+    """
 
     def __init__(self, parent: dict[str, str | None]):
         roots = [n for n, p in parent.items() if p is None]
@@ -82,38 +73,38 @@ class Taxonomy:
         if len(roots) > 1:
             raise MultipleRoots(f"expected exactly one root, found {len(roots)}")
         self.root = roots[0]
-        self._parent = dict(parent)
 
         children: dict[str, list[str]] = {n: [] for n in parent}
         for node, par in parent.items():
-            if par is not None:
-                children[par].append(node)
-        self._children = children
+            if par is None:
+                continue
+            if par not in children:
+                raise UnknownLabel(f"node {node!r} has parent {par!r}, which is not a node")
+            children[par].append(node)
 
         # BFS from the root; unreachable nodes imply a parent loop.
-        self._depth: dict[str, int] = {self.root: 1}
+        depth = {self.root: 1}
         frontier = [self.root]
         while frontier:
             nxt = []
             for node in frontier:
                 for child in children[node]:
-                    self._depth[child] = self._depth[node] + 1
+                    depth[child] = depth[node] + 1
                     nxt.append(child)
             frontier = nxt
-        if len(self._depth) != len(parent):
+        if len(depth) != len(parent):
             raise CycleDetected("some nodes are not reachable from the root")
 
-        self.K = max(self._depth.values())
+        self.K = max(depth.values())
         if self.K < 2:
             raise HeightTooSmall("taxonomy has no layers below the root")
         self.leaves = frozenset(n for n in parent if not children[n])
         for leaf in self.leaves:
-            if self._depth[leaf] != self.K:
+            if depth[leaf] != self.K:
                 raise RaggedLeafDepth(
-                    f"leaf {leaf!r} at depth {self._depth[leaf]}, expected {self.K}"
+                    f"leaf {leaf!r} at depth {depth[leaf]}, expected {self.K}"
                 )
 
-        self.weights = layer_weights(self.K)
         # sim_by_depth[d]: similarity of two leaves whose deepest common
         # ancestor sits at depth d
         self.sim_by_depth = _similarity_by_depth(self.K)
@@ -126,34 +117,9 @@ class Taxonomy:
             node = leaf
             for k in range(self.K, 0, -1):
                 chains[i, k - 1] = node_ids[node]
-                node = self._parent[node]
+                node = parent[node]
         chains.setflags(write=False)
         self._leaf_chains = chains
-
-    # --- structure queries ---------------------------------------------------
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._parent
-
-    def depth(self, node: str) -> int:
-        if node not in self._depth:
-            raise UnknownLabel(f"unknown node {node!r}")
-        return self._depth[node]
-
-    def parent(self, node: str) -> str | None:
-        if node not in self._parent:
-            raise UnknownLabel(f"unknown node {node!r}")
-        return self._parent[node]
-
-    def ancestor_at(self, label: str, k: int) -> str:
-        """The unique ancestor of `label` at layer k (itself when depth == k)."""
-        d = self.depth(label)
-        if not 1 <= k <= self.K or k > d:
-            raise LayerOutOfRange(f"layer {k} invalid for node at depth {d} (K={self.K})")
-        node = label
-        for _ in range(d - k):
-            node = self._parent[node]
-        return node
 
     def _leaf_index(self, label: str) -> int:
         idx = self._leaf_row.get(label)
@@ -162,11 +128,6 @@ class Taxonomy:
         return idx
 
     # --- similarity ------------------------------------------------------------
-
-    def layer_similarity(self, a: str, b: str, k: int) -> int:
-        """1 iff a and b share the layer-k ancestor and k != 1, else 0."""
-        same = self.ancestor_at(a, k) == self.ancestor_at(b, k)
-        return int(same and k != 1)
 
     def shared_depth(self, a: str, b: str) -> int:
         """Depth of the deepest common ancestor of two leaves."""

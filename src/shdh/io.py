@@ -37,7 +37,7 @@ from .codes import (
 )
 from .errors import FileFormatError, FileNotFound, ShapeMismatch
 from .hierarchy import Taxonomy, parse_taxonomy
-from .train import TrainLog
+from .train import TrainRecord
 
 FORMAT_VERSION = 1
 
@@ -235,10 +235,10 @@ def write_labels(path, ids, labels):
 
 # --- CSV artifacts --------------------------------------------------------------
 
-def write_trainlog(path, log: TrainLog):
+def write_trainlog(path, log: list[TrainRecord]):
     write_csv(path, ["iteration", "eta", "loss", "fit", "trace"],
               ([rec.iteration, repr(rec.eta), repr(rec.loss), repr(rec.fit), repr(rec.trace)]
-               for rec in log.records))
+               for rec in log))
 
 
 def write_csv(path, header, rows):

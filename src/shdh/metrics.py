@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import BinaryCode, CodeDatabase
-from .errors import IdealMismatch, RankTooLarge, ShapeMismatch, ZeroTotalRelevance
+from .errors import EmptyInput, IdealMismatch, RankTooLarge, ShapeMismatch, ZeroTotalRelevance
 from .hierarchy import Taxonomy
 from .index import distance_keys
 
@@ -103,7 +103,6 @@ class MetricReport:
 
     ns: list[int]
     mode: str
-    query_ids: list
     # metric -> (n_queries x len(ns)) array; NaN marks excluded WR cells
     per_query: dict[str, np.ndarray]
     means: dict[str, np.ndarray] = field(default_factory=dict)
@@ -117,33 +116,36 @@ class MetricReport:
         return float(self.means[metric][self.ns.index(n)])
 
     def to_csv_rows(self):
-        """(query id, n, metric, value) rows, means last with query id 'mean'."""
+        """(query id, n, metric, value) rows, means last with query id 'mean'.
+        A query's id is its position."""
         rows = []
-        for qi, qid in enumerate(self.query_ids):
+        for qi in range(len(self.per_query["acg"])):
             for metric in METRIC_NAMES:
                 for ni, n in enumerate(self.ns):
                     val = self.per_query[metric][qi, ni]
-                    rows.append((qid, n, metric, "" if np.isnan(val) else repr(float(val))))
+                    rows.append((qi, n, metric, "" if np.isnan(val) else repr(float(val))))
         for metric in METRIC_NAMES:
             for ni, n in enumerate(self.ns):
                 rows.append(("mean", n, metric, repr(float(self.means[metric][ni]))))
         return rows
 
     def summary(self) -> dict:
+        """Means by metric and cutoff; an undefined mean (NaN) is None."""
         return {
             "mode": self.mode,
             "ns": self.ns,
-            "queries": len(self.query_ids),
+            "queries": len(self.per_query["acg"]),
             "weighted_recall_excluded_queries": self.wr_excluded,
             "formulas": FORMULAS,
             "means": {
-                metric: {str(n): float(self.means[metric][ni]) for ni, n in enumerate(self.ns)}
+                metric: {str(n): None if np.isnan(v) else float(v)
+                         for n, v in zip(self.ns, self.means[metric])}
                 for metric in METRIC_NAMES
             },
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
+        return json.dumps(self.summary(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_labels,
@@ -162,6 +164,8 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     Recall means (their WR cells are NaN) and from both curves; the
     exclusion count is reported. Queries are identified by position.
     """
+    if len(queries) == 0:
+        raise EmptyInput("no queries to evaluate")
     if len(queries) != len(query_labels):
         raise ShapeMismatch(f"{len(queries)} queries but {len(query_labels)} labels")
     if len(db_labels) != len(db):
@@ -225,7 +229,6 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     return MetricReport(
         ns=ns,
         mode=mode,
-        query_ids=list(range(len(queries))),
         per_query=per_query,
         means=means,
         wr_excluded=wr_excluded,

@@ -12,7 +12,7 @@ uses the relaxed codes throughout and never applies the sign function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .errors import (
 )
 from .hierarchy import Taxonomy
 
+# The step size is multiplied by ETA_DECAY every ETA_DECAY_EVERY iterations.
+ETA_DECAY = 2.0 / 3.0
+ETA_DECAY_EVERY = 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,8 +37,6 @@ class TrainConfig:
     alpha: float = 1.0
     eta0: float = 0.01
     batch: int = 128
-    decay: float = 2.0 / 3.0
-    decay_every: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +50,8 @@ class TrainConfig:
             raise ValueError("alpha must be >= 0")
 
     def eta_at(self, t: int) -> float:
-        """Step size at 0-based iteration t: eta0 * decay^floor(t / decay_every)."""
-        return self.eta0 * self.decay ** (t // self.decay_every)
+        """Step size at 0-based iteration t: eta0 * ETA_DECAY^floor(t / ETA_DECAY_EVERY)."""
+        return self.eta0 * ETA_DECAY ** (t // ETA_DECAY_EVERY)
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,6 @@ class TrainRecord:
     loss: float
     fit: float    # ||H A H^T - L*S||_F^2
     trace: float  # alpha * tr(H A H^T); loss = fit - trace
-
-
-@dataclass
-class TrainLog:
-    records: list[TrainRecord] = field(default_factory=list)
-
-    def append(self, rec: TrainRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
 
 def _check_loss_inputs(Htilde, S, layout):
@@ -99,35 +87,12 @@ def loss_terms(Htilde, S, layout: SegmentLayout, alpha: float) -> tuple[float, f
     return fit - trace, fit, trace
 
 
-def loss(Htilde, S, layout: SegmentLayout, alpha: float) -> float:
-    return loss_terms(Htilde, S, layout, alpha)[0]
-
-
 def loss_gradient(Htilde, S, layout: SegmentLayout, alpha: float) -> np.ndarray:
     """dJ/dH, exact: 4 (H A H^T - L*S) H A - 2 alpha H A."""
     H, S = _check_loss_inputs(Htilde, S, layout)
     HA = H * layout.A
     R = HA @ H.T - layout.L * S
     return 4.0 * (R @ HA) - 2.0 * alpha * HA
-
-
-def finite_diff_gradient(Htilde, S, layout: SegmentLayout, alpha: float,
-                         eps: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of `loss`, entry by entry."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    H = np.array(Htilde, dtype=np.float64)
-    grad = np.empty_like(H)
-    for i in range(H.shape[0]):
-        for j in range(H.shape[1]):
-            orig = H[i, j]
-            H[i, j] = orig + eps
-            jp = loss(H, S, layout, alpha)
-            H[i, j] = orig - eps
-            jm = loss(H, S, layout, alpha)
-            H[i, j] = orig
-            grad[i, j] = (jp - jm) / (2.0 * eps)
-    return grad
 
 
 def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: float):
@@ -160,23 +125,10 @@ def _batch_scale(layout: SegmentLayout, m: int) -> float:
     O(L^2) and overflows within a few iterations at the default step size
     and batch 128; this scaling keeps SGD stable across batch sizes and
     code lengths while leaving single-pair hand values unchanged at the
-    unit layout.
+    unit layout. backprop_step reports the raw objective with alpha scaled
+    by m, times this scale: [fit/m^2 - alpha * trace/m] / W.
     """
     return 1.0 / (layout.max_distance * m * m)
-
-
-def batch_objective_terms(Htilde, S, layout: SegmentLayout, alpha: float):
-    """(loss, fit, trace) of the normalized batch objective:
-
-        [ fit/m^2 - alpha * trace/m ] / W
-
-    which equals the raw objective with alpha scaled by m, divided by
-    W * m^2.
-    """
-    m = np.asarray(Htilde).shape[0]
-    scale = _batch_scale(layout, m)
-    J, fit, trace = loss_terms(Htilde, S, layout, alpha * m)
-    return J * scale, fit * scale, trace * scale
 
 
 def backprop_step(model: HashModel, X_batch: np.ndarray, labels_batch,
@@ -221,9 +173,10 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, labels_batch,
 
 
 def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
-          layout: SegmentLayout, config: TrainConfig) -> tuple[HashModel, TrainLog]:
+          layout: SegmentLayout, config: TrainConfig) -> tuple[HashModel, list[TrainRecord]]:
     """Algorithm: init the model, then T iterations of sample-batch + SGD step,
-    with eta multiplied by `decay` every `decay_every` iterations."""
+    with eta multiplied by ETA_DECAY every ETA_DECAY_EVERY iterations.
+    Returns the model and one TrainRecord per iteration."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0] if features.ndim == 2 else 0
     if n < 2:
@@ -240,7 +193,7 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
     rng = np.random.default_rng(seed_sample)
     batch_size = min(config.batch, n)
 
-    log = TrainLog()
+    log = []
     for t in range(config.iters):
         eta = config.eta_at(t)
         idx = rng.choice(n, size=batch_size, replace=False)

@@ -30,11 +30,11 @@ def make_layout(widths, layers, K, scheme="effective"):
     e.g. single-bit codes in gradient hand checks."""
     from shdh.hierarchy import layer_weights
 
-    w = layer_weights(K)
+    u = layer_weights(K)
     segments = []
     bit_off = byte_off = 0
     for width, layer in zip(widths, layers):
-        seg = Segment(layer=layer, width=width, weight=w.weight(layer),
+        seg = Segment(layer=layer, width=width, weight=float(u[layer - 1]),
                       bit_offset=bit_off, byte_offset=byte_off)
         segments.append(seg)
         bit_off += width

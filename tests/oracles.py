@@ -7,6 +7,10 @@ vectorized paths.
 
 import math
 
+import numpy as np
+
+from shdh.train import loss_terms
+
 
 # --- hierarchy -----------------------------------------------------------------
 
@@ -76,6 +80,27 @@ def random_taxonomy(rng, K: int, max_leaves: int = 200):
                 parent[child] = level[rng.integers(len(level))]
         level = children
     return parent, level
+
+
+# --- training ------------------------------------------------------------------
+
+def finite_diff_gradient(Htilde, S, layout, alpha: float, eps: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of the objective (loss_terms' loss), entry
+    by entry, to check the analytic gradients against."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    H = np.array(Htilde, dtype=np.float64)
+    grad = np.empty_like(H)
+    for i in range(H.shape[0]):
+        for j in range(H.shape[1]):
+            orig = H[i, j]
+            H[i, j] = orig + eps
+            jp = loss_terms(H, S, layout, alpha)[0]
+            H[i, j] = orig - eps
+            jm = loss_terms(H, S, layout, alpha)[0]
+            H[i, j] = orig
+            grad[i, j] = (jp - jm) / (2.0 * eps)
+    return grad
 
 
 # --- metrics ---------------------------------------------------------------------

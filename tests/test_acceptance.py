@@ -21,12 +21,13 @@ from shdh.datagen import SyntheticConfig, generate
 from shdh.hierarchy import Taxonomy, layer_weights
 from shdh.index import brute_force_topn, search_radius, search_topn
 from shdh.metrics import acg_at, dcg_at, eval_queries, ndcg_at, weighted_recall_at
-from shdh.train import TrainConfig, finite_diff_gradient, loss, loss_gradient, train
+from shdh.train import TrainConfig, loss_gradient, loss_terms, train
 from shdh.codes import forward
 
 from oracles import (
     acg_brute,
     dcg_brute,
+    finite_diff_gradient,
     hier_similarity_brute,
     ndcg_brute,
     random_taxonomy,
@@ -47,7 +48,7 @@ def test_criterion_1_layer_weights():
     t0 = time.time()
     ok = True
     for K in range(2, 11):
-        u = layer_weights(K).u
+        u = layer_weights(K)
         ok &= abs(u[1:].sum() - 1.0) < 1e-12
         ok &= bool(np.all(np.diff(u[1:]) < 0)) or K == 2
         ok &= u[0] == 0.0
@@ -122,9 +123,9 @@ def test_criterion_3_gradients():
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    jp = loss(forward(model, X)[0], S, layout, 1.0)
+                    jp = loss_terms(forward(model, X)[0], S, layout, 1.0)[0]
                     flat[idx] = orig - eps
-                    jm = loss(forward(model, X)[0], S, layout, 1.0)
+                    jm = loss_terms(forward(model, X)[0], S, layout, 1.0)[0]
                     flat[idx] = orig
                     fd[idx] = (jp - jm) / (2 * eps)
                 worst = max(worst, _grad_error(grad.reshape(-1), fd))

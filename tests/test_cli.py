@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from shdh.cli import main
-from shdh.io import read_codes, read_features, read_model
+from shdh.io import read_codes, read_features, read_model, write_features, write_labels
 
 K4_TAXONOMY = (
     "root\ta\nroot\tb\n"
     "a\ta1\nb\tb1\n"
     "a1\tx\na1\ty\nb1\tz\nb1\tw\n"
 )
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +91,6 @@ class TestTrain:
     def test_code_too_short_exit_3(self, tmp_path, capsys):
         (tmp_path / "t.tsv").write_text(K4_TAXONOMY)
         feats = tmp_path / "f.shdf"
-        from shdh.io import write_features, write_labels
         write_features(feats, np.zeros((8, 4), np.float32))
         write_labels(tmp_path / "l.tsv", range(8), ["x", "y", "z", "w"] * 2)
         rc = main([
@@ -131,8 +137,35 @@ class TestTrain:
         log_lines = (tmp_path / "m.shdm.trainlog.csv").read_text().splitlines()
         assert len(log_lines) == 7
 
+    @pytest.mark.parametrize("key", ["iter", "colour"])
+    def test_config_key_no_command_takes_exit_2(self, dataset, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bits=16\n{key}=5\n")
+        out = tmp_path / "m.shdm"
+        rc = main([
+            "train", "--config", str(cfg),
+            "--features", str(dataset / "train.shdf"),
+            "--labels", str(dataset / "train_labels.tsv"),
+            "--taxonomy", str(dataset / "taxonomy.tsv"),
+            "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "BAD_FILE_FORMAT" in err and "line 2" in err and repr(key) in err
+        assert not out.exists()
+
 
 class TestEncode:
+    def test_config_keys_of_other_commands_not_applied(self, dataset, trained, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=abc\nseed=4\n")
+        out = tmp_path / "db.shdc"
+        rc = main(["encode", "--config", str(cfg), "--model", str(trained / "model.shdm"),
+                   "--features", str(dataset / "train.shdf"), "--out", str(out)])
+        assert rc == 0
+        effective = json.loads((tmp_path / "db.shdc.manifest.json").read_text())["effective_config"]
+        assert "threads" not in effective and "seed" not in effective
+
     def test_reencode_identical(self, dataset, trained, tmp_path):
         out = tmp_path / "again.shdc"
         rc = main(["encode", "--model", str(trained / "model.shdm"),
@@ -141,7 +174,6 @@ class TestEncode:
         assert out.read_bytes() == (trained / "db.shdc").read_bytes()
 
     def test_empty_features(self, trained, tmp_path):
-        from shdh.io import write_features
         empty = tmp_path / "empty.shdf"
         write_features(empty, np.zeros((0, 8), np.float32))
         out = tmp_path / "empty.shdc"
@@ -151,7 +183,6 @@ class TestEncode:
         assert len(read_codes(out)) == 0
 
     def test_dim_mismatch_exit_3(self, trained, tmp_path, capsys):
-        from shdh.io import write_features
         bad = tmp_path / "bad.shdf"
         write_features(bad, np.zeros((3, 5), np.float32))
         rc = main(["encode", "--model", str(trained / "model.shdm"),
@@ -184,6 +215,27 @@ class TestQuery:
         slow = capsys.readouterr().out
         assert fast == slow
 
+    @pytest.mark.parametrize("value, expected", [("false", False), ("true", True)])
+    def test_config_store_true(self, trained, tmp_path, value, expected):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"oracle={value}\n")
+        out = tmp_path / "ranked.tsv"
+        rc = main(["query", "--config", str(cfg), "--codes", str(trained / "db.shdc"),
+                   "--query-id", "2", "--n", "5", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "ranked.tsv.manifest.json").read_text())
+        assert manifest["effective_config"]["oracle"] is expected
+
+    @pytest.mark.parametrize("line", ["oracle=yes", "oracle=", "oracle=False"])
+    def test_config_store_true_other_value_exit_2(self, trained, tmp_path, capsys, line):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["query", "--config", str(cfg), "--codes", str(trained / "db.shdc"),
+                   "--query-id", "2", "--n", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "BAD_FILE_FORMAT" in err and "true or false" in err
+
     def test_query_by_features(self, dataset, trained, tmp_path):
         out = tmp_path / "ranked.tsv"
         rc = main(["query", "--codes", str(trained / "db.shdc"),
@@ -201,7 +253,6 @@ class TestQuery:
         assert "UNKNOWN_QUERY_ID" in capsys.readouterr().err
 
     def test_empty_database_exit_2(self, trained, tmp_path, capsys):
-        from shdh.io import write_features
         empty_feats = tmp_path / "none.shdf"
         write_features(empty_feats, np.zeros((0, 8), np.float32))
         empty_db = tmp_path / "empty.shdc"
@@ -235,7 +286,7 @@ class TestEval:
             "--out-prefix", str(prefix),
         ])
         assert rc == 0
-        summary = json.loads((tmp_path / "eval.summary.json").read_text())
+        summary = strict_json((tmp_path / "eval.summary.json").read_text())
         assert summary["queries"] == 12
         assert set(summary["means"]) == {"acg", "dcg", "ndcg", "weighted_recall"}
         metrics_lines = (tmp_path / "eval.metrics.csv").read_text().splitlines()
@@ -250,6 +301,49 @@ class TestEval:
         radius = (tmp_path / "eval.wr_vs_radius.csv").read_text().splitlines()
         assert radius[0] == "radius,mean_weighted_recall"
         assert len(radius) > 1
+
+    def _eval(self, trained, tmp_path, db_labels, query_codes, query_labels, extra=()):
+        write_labels(tmp_path / "db.tsv", range(len(db_labels)), db_labels)
+        write_labels(tmp_path / "q.tsv", range(len(query_labels)), query_labels)
+        (tmp_path / "tax.tsv").write_text("root\ta\nroot\tb\na\tx\nb\tz\n")
+        return main([
+            "eval", *extra,
+            "--db-codes", str(trained / "db.shdc"),
+            "--db-labels", str(tmp_path / "db.tsv"),
+            "--query-codes", str(query_codes),
+            "--query-labels", str(tmp_path / "q.tsv"),
+            "--taxonomy", str(tmp_path / "tax.tsv"),
+            "--ns", "1,10", "--out-prefix", str(tmp_path / "eval"),
+        ])
+
+    def test_empty_query_set_exit_2(self, trained, tmp_path, capsys):
+        write_features(tmp_path / "none.shdf", np.zeros((0, 8), np.float32))
+        empty = tmp_path / "none.shdc"
+        assert main(["encode", "--model", str(trained / "model.shdm"),
+                     "--features", str(tmp_path / "none.shdf"), "--out", str(empty)]) == 0
+        rc = self._eval(trained, tmp_path, ["x"] * 80, empty, [])
+        assert rc == 2
+        assert "EMPTY_INPUT" in capsys.readouterr().err
+        assert not (tmp_path / "eval.summary.json").exists()
+
+    def test_undefined_mean_written_as_null(self, trained, tmp_path, capsys):
+        # every database item shares only the root with every query, so each
+        # query has zero total relevance and is excluded from Weighted Recall
+        rc = self._eval(trained, tmp_path, ["x"] * 80, trained / "q.shdc", ["z"] * 12)
+        assert rc == 0
+        summary = strict_json((tmp_path / "eval.summary.json").read_text())
+        assert summary["weighted_recall_excluded_queries"] == 12
+        assert summary["means"]["weighted_recall"] == {"1": None, "10": None}
+        assert summary["means"]["acg"] == {"1": 0.0, "10": 0.0}
+        assert "weighted_recall@10 = nan" in capsys.readouterr().out
+
+    def test_config_value_outside_choices_exit_2(self, trained, tmp_path, capsys):
+        (tmp_path / "e.cfg").write_text("mode=shared\n")
+        rc = self._eval(trained, tmp_path, ["x"] * 80, trained / "q.shdc", ["z"] * 12,
+                        extra=("--config", str(tmp_path / "e.cfg")))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "BAD_FILE_FORMAT" in err and "hier-similarity" in err
 
     def test_rerun_identical_reports(self, dataset, trained, tmp_path):
         def run(prefix):

@@ -47,9 +47,9 @@ class TestSegmentLayout:
             L = int(rng.integers(n_seg + 1, 129))
             layout = segment_layout(L, K, scheme)
             assert sum(layout.widths) == L
-            lw = layer_weights(K)
+            u = layer_weights(K)
             for seg in layout.segments:
-                assert seg.weight == lw.weight(seg.layer)
+                assert seg.weight == u[seg.layer - 1]
             assert len(layout.A) == L
 
     def test_code_too_short(self):

@@ -6,7 +6,6 @@ from shdh.errors import (
     DuplicateEdge,
     EmptyInput,
     HeightTooSmall,
-    LayerOutOfRange,
     MultipleRoots,
     RaggedLeafDepth,
     SimilarityCapExceeded,
@@ -16,7 +15,6 @@ from shdh.hierarchy import Taxonomy, layer_weights, parse_taxonomy
 
 from oracles import (
     hier_similarity_brute,
-    layer_similarity_brute,
     random_taxonomy,
     relevance_brute,
 )
@@ -27,7 +25,6 @@ class TestParse:
         assert toy3.K == 3
         assert toy3.root == "root"
         assert toy3.leaves == {"rose", "sun", "tiger", "oak"}
-        assert toy3.depth("rose") == 3
 
     def test_comments_and_blanks_ignored(self):
         tax = parse_taxonomy("# comment\nroot\ta\n\nroot\tb\na\tx\nb\ty\n")
@@ -62,68 +59,28 @@ class TestParse:
         with pytest.raises(CycleDetected):
             parse_taxonomy("root\ta\nroot\tb\na\tx\nb\ty\nu\tv\nv\tu\n")
 
-
-class TestAncestorAt:
-    def test_one_step_parent(self, toy3):
-        assert toy3.ancestor_at("rose", 2) == "P"
-
-    def test_identity_at_own_depth(self, toy3):
-        assert toy3.ancestor_at("rose", 3) == "rose"
-
-    def test_root_case(self, toy3):
-        assert toy3.ancestor_at("rose", 1) == "root"
-
-    def test_layer_out_of_range(self, toy3):
-        with pytest.raises(LayerOutOfRange):
-            toy3.ancestor_at("rose", 4)
-        with pytest.raises(LayerOutOfRange):
-            toy3.ancestor_at("P", 3)  # k above the node's own depth
-
-    def test_unknown_label(self, toy3):
-        with pytest.raises(UnknownLabel):
-            toy3.ancestor_at("daisy", 1)
-
-
-class TestLayerSimilarity:
-    def test_shared_parent(self, toy3):
-        assert toy3.layer_similarity("rose", "sun", 2) == 1
-
-    def test_disjoint_branches(self, toy3):
-        assert toy3.layer_similarity("rose", "tiger", 2) == 0
-
-    def test_root_layer_never_similar(self, toy3):
-        assert toy3.layer_similarity("rose", "rose", 1) == 0
-
-    def test_symmetric_and_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            K = int(rng.integers(2, 6))
-            parent, leaves = random_taxonomy(rng, K, max_leaves=40)
-            tax = Taxonomy(parent)
-            for _ in range(30):
-                a, b = rng.choice(leaves, size=2)
-                k = int(rng.integers(1, K + 1))
-                got = tax.layer_similarity(a, b, k)
-                assert got == tax.layer_similarity(b, a, k)
-                assert got == layer_similarity_brute(parent, a, b, k)
+    def test_dangling_parent(self):
+        with pytest.raises(UnknownLabel, match="'x' has parent 'b'") as exc:
+            Taxonomy({"root": None, "a": "root", "x": "b"})
+        assert exc.value.exit_code == 2
 
 
 class TestLayerWeights:
     def test_k4(self):
         lw = layer_weights(4)
-        np.testing.assert_allclose(lw.u, [0.0, 0.5, 1 / 3, 1 / 6], rtol=0, atol=0)
+        np.testing.assert_allclose(lw, [0.0, 0.5, 1 / 3, 1 / 6], rtol=0, atol=0)
 
     def test_k3(self):
         lw = layer_weights(3)
-        np.testing.assert_allclose(lw.u, [0.0, 2 / 3, 1 / 3], rtol=0, atol=0)
+        np.testing.assert_allclose(lw, [0.0, 2 / 3, 1 / 3], rtol=0, atol=0)
 
     def test_k2(self):
         lw = layer_weights(2)
-        np.testing.assert_allclose(lw.u, [0.0, 1.0], rtol=0, atol=0)
+        np.testing.assert_allclose(lw, [0.0, 1.0], rtol=0, atol=0)
 
     def test_sum_one_and_decreasing(self):
         for K in range(2, 11):
-            u = layer_weights(K).u
+            u = layer_weights(K)
             assert abs(u[1:].sum() - 1.0) < 1e-12
             assert u[0] == 0.0
             assert np.all(np.diff(u[1:]) < 0) or K == 2

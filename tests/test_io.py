@@ -19,7 +19,7 @@ from shdh.io import (
     write_taxonomy,
     write_trainlog,
 )
-from shdh.train import TrainLog, TrainRecord
+from shdh.train import TrainRecord
 
 from conftest import TOY3_TEXT, random_codes
 
@@ -129,8 +129,8 @@ class TestTextFiles:
 
 class TestTrainLogCsv:
     def test_written_and_parseable(self, tmp_path):
-        log = TrainLog([TrainRecord(0, 0.01, -1.5, 2.0, 3.5),
-                        TrainRecord(1, 0.01, -2.0, 1.0, 3.0)])
+        log = [TrainRecord(0, 0.01, -1.5, 2.0, 3.5),
+               TrainRecord(1, 0.01, -2.0, 1.0, 3.0)]
         path = tmp_path / "log.csv"
         write_trainlog(path, log)
         lines = path.read_text().splitlines()

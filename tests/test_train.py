@@ -13,9 +13,6 @@ from shdh.errors import (
 from shdh.train import (
     TrainConfig,
     backprop_step,
-    batch_objective_terms,
-    finite_diff_gradient,
-    loss,
     loss_gradient,
     loss_terms,
     parameter_gradients,
@@ -23,6 +20,7 @@ from shdh.train import (
 )
 
 from conftest import make_layout
+from oracles import finite_diff_gradient
 
 
 def unit_layout():
@@ -54,11 +52,11 @@ def random_instance(rng):
 class TestLoss:
     def test_hand_value_at_one(self):
         layout = unit_layout()
-        assert loss(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0) == -1.0
+        assert loss_terms(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0)[0] == -1.0
 
     def test_hand_value_at_zero(self):
         layout = unit_layout()
-        assert loss(np.array([[0.0]]), np.array([[1.0]]), layout, alpha=1.0) == 1.0
+        assert loss_terms(np.array([[0.0]]), np.array([[1.0]]), layout, alpha=1.0)[0] == 1.0
 
     def test_exact_solution_zero_fit(self):
         # codes at +/-sqrt(2) per bit solve H A H^T = L * S for this instance
@@ -74,21 +72,21 @@ class TestLoss:
         rng = np.random.default_rng(0)
         H, S, layout, alpha = random_instance(rng)
         perm = rng.permutation(H.shape[0])
-        a = loss(H, S, layout, alpha)
-        b = loss(H[perm], S[np.ix_(perm, perm)], layout, alpha)
+        a = loss_terms(H, S, layout, alpha)[0]
+        b = loss_terms(H[perm], S[np.ix_(perm, perm)], layout, alpha)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_shape_mismatch(self):
         layout = unit_layout()
         with pytest.raises(ShapeMismatch):
-            loss(np.zeros((2, 2)), np.eye(2), layout, 1.0)
+            loss_terms(np.zeros((2, 2)), np.eye(2), layout, 1.0)
         with pytest.raises(ShapeMismatch):
-            loss(np.zeros((2, 1)), np.eye(3), layout, 1.0)
+            loss_terms(np.zeros((2, 1)), np.eye(3), layout, 1.0)
 
     def test_nonfinite(self):
         layout = unit_layout()
         with pytest.raises(NonFiniteInput):
-            loss(np.array([[np.nan]]), np.eye(1), layout, 1.0)
+            loss_terms(np.array([[np.nan]]), np.eye(1), layout, 1.0)
 
 
 class TestLossGradient:
@@ -171,9 +169,9 @@ class TestParameterGradients:
                     for idx in range(flat.size):
                         orig = flat[idx]
                         flat[idx] = orig + eps
-                        jp = loss(forward(model, X)[0], S, layout, alpha)
+                        jp = loss_terms(forward(model, X)[0], S, layout, alpha)[0]
                         flat[idx] = orig - eps
-                        jm = loss(forward(model, X)[0], S, layout, alpha)
+                        jm = loss_terms(forward(model, X)[0], S, layout, alpha)[0]
                         flat[idx] = orig
                         fd_flat[idx] = (jp - jm) / (2 * eps)
                     assert grad_error(grad, fd) < 1e-5
@@ -273,7 +271,7 @@ class TestTrain:
         config = TrainConfig(iters=12, batch=8, seed=5)
         m1, log1 = train(X, labels, toy3, arch, layout, config)
         m2, log2 = train(X, labels, toy3, arch, layout, config)
-        assert [r.loss for r in log1.records] == [r.loss for r in log2.records]
+        assert [r.loss for r in log1] == [r.loss for r in log2]
         for a, b in zip(m1.W + m1.v, m2.W + m2.v):
             np.testing.assert_array_equal(a, b)
 
@@ -283,9 +281,9 @@ class TestTrain:
         arch = Architecture(d=6, hidden=(), L=8)
         config = TrainConfig(iters=65, batch=8, eta0=0.01, seed=2)
         _, log = train(X, labels, toy3, arch, layout, config)
-        for rec in log.records:
+        for rec in log:
             assert rec.eta == 0.01 * (2.0 / 3.0) ** (rec.iteration // 20)
-        assert [r.iteration for r in log.records] == list(range(65))
+        assert [r.iteration for r in log] == list(range(65))
 
     def test_unknown_label(self, toy3):
         X, _ = self._data()
@@ -311,7 +309,7 @@ class TestTrain:
         arch = Architecture(d=16, hidden=(64, 64), L=16)
         config = TrainConfig(iters=200, batch=128, seed=9)
         _, log = train(data.train_features, data.train_labels, tax, arch, layout, config)
-        losses = [r.loss for r in log.records]
+        losses = [r.loss for r in log]
         assert np.mean(losses[-10:]) < losses[0]
 
     def test_config_validation(self):
@@ -324,15 +322,18 @@ class TestTrain:
 
 
 class TestBatchObjective:
-    def test_normalization_formula(self):
+    def test_normalization_formula(self, toy3):
+        # backprop_step reports the raw objective with alpha scaled by the
+        # batch size m, divided by W m^2 (W = layout.max_distance)
         rng = np.random.default_rng(19)
         layout = segment_layout(8, 3)
-        H = rng.normal(size=(6, 8))
-        M = rng.uniform(-1, 1, size=(6, 6))
-        S = (M + M.T) / 2
-        np.fill_diagonal(S, 1.0)
-        J, fit, trace = batch_objective_terms(H, S, layout, alpha=1.0)
-        raw_J, raw_fit, raw_trace = loss_terms(H, S, layout, alpha=6.0)
+        model = init_model(Architecture(d=4, hidden=(5,), L=8), layout, seed=3)
+        X = rng.normal(size=(6, 4))
+        labels = ["rose", "sun", "tiger", "oak", "rose", "tiger"]
+        config = TrainConfig(iters=1, batch=6, alpha=1.5, seed=0)
+        _, (J, fit, trace) = backprop_step(model, X, labels, toy3, config, eta=0.01)
+        S = toy3.similarity_matrix(labels)
+        raw_J, raw_fit, raw_trace = loss_terms(forward(model, X)[0], S, layout, alpha=1.5 * 6)
         scale = 1.0 / (layout.max_distance * 6 * 6)
         assert J == raw_J * scale
         assert fit == raw_fit * scale
