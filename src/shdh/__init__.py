@@ -40,7 +40,6 @@ from .metrics import (
 from .train import (
     TrainConfig,
     backprop_step,
-    loss_gradient,
     train,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "forward",
     "init_model",
     "layer_weights",
-    "loss_gradient",
     "ndcg_at",
     "parse_taxonomy",
     "quantize",

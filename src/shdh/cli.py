@@ -96,9 +96,9 @@ def _load_config_defaults(argv, subparsers):
     the subparsers that define that option. set_defaults replaces action
     defaults, so config values sit between built-in defaults and explicit
     flags in precedence. It also skips argparse's own checks, so they are
-    made here: a key that no subcommand defines, a value outside an
-    option's choices, and a store_true value other than true or false are
-    BAD_FILE_FORMAT errors."""
+    made here: a key that no subcommand defines, a repeatable (append)
+    option, a value outside an option's choices, and a store_true value
+    other than true or false are BAD_FILE_FORMAT errors."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -123,6 +123,8 @@ def _load_config_defaults(argv, subparsers):
         if key not in options:
             raise FileFormatError(f"{where}: no command takes the key {key!r}")
         for sub, action in options[key]:
+            if isinstance(action, argparse._AppendAction):
+                raise FileFormatError(f"{where}: {key} is repeatable; give it on the command line")
             switch = action.nargs == 0  # store_true
             if switch and value not in ("true", "false"):
                 raise FileFormatError(f"{where}: {key} must be true or false, got {value!r}")

@@ -157,31 +157,25 @@ def init_model(arch: Architecture, layout: SegmentLayout, seed) -> HashModel:
 
 
 def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Relaxed codes for one vector or a batch.
+    """Relaxed codes (n x L) for a batch of feature rows (n x d).
 
     Returns (output, activations) where activations[m] is the output of
     layer m+1; the last entry is the identity-activated hashing layer.
-    Shapes follow the input: 1-D in, 1-D out.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.ndim != 2 or X.shape[1] != model.arch.d:
-        raise ShapeMismatch(f"expected feature dim {model.arch.d}, got shape {x.shape}")
-    if not np.isfinite(X).all():
+    if x.ndim != 2 or x.shape[1] != model.arch.d:
+        raise ShapeMismatch(f"expected n x {model.arch.d} features, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise NonFiniteInput("features contain NaN or infinity")
 
     activations = []
-    phi = X
+    phi = x
     last = model.n_layers - 1
     for m in range(model.n_layers):
         z = phi @ model.W[m].T + model.v[m]
         phi = z if m == last else np.maximum(z, 0.0)
         activations.append(phi)
-    out = activations[-1]
-    if single:
-        return out[0], [a[0] for a in activations]
-    return out, activations
+    return activations[-1], activations
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,8 @@ from .errors import (
     UnknownLabel,
 )
 
-# n x n similarity matrices above this item count must be requested explicitly;
-# training only ever needs batch-restricted submatrices.
+# similarity_matrix refuses more items than this; training only ever needs
+# batch-restricted submatrices.
 DEFAULT_MATRIX_CAP = 20_000
 
 
@@ -160,12 +160,12 @@ class Taxonomy:
             depths += alive
         return depths
 
-    def similarity_matrix(self, labels, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+    def similarity_matrix(self, labels) -> np.ndarray:
         """Dense pairwise hierarchical similarities for the given leaf labels."""
         n = len(labels)
-        if n > cap:
+        if n > DEFAULT_MATRIX_CAP:
             raise SimilarityCapExceeded(
-                f"{n} items exceed the dense-matrix cap of {cap}; "
+                f"{n} items exceed the dense-matrix cap of {DEFAULT_MATRIX_CAP}; "
                 "compute per-batch similarities instead"
             )
         rows = self.label_rows(labels)

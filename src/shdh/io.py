@@ -12,7 +12,8 @@ Binary formats, all integers little-endian:
   layout block (L u16, K u8, scheme u8, widths u16 each).
 
 Every writer goes through a temp file plus rename, so interrupted runs
-never leave truncated artifacts.
+never leave truncated artifacts. Readers reject bytes after the payload
+and, in SHDC, nonzero padding bits.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def _read_struct(f, fmt: str, what: str):
     return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
 
 
+def _check_end(f, path):
+    """The payload must end the file."""
+    if f.read(1):
+        raise FileFormatError(f"{path}: unexpected bytes after the payload")
+
+
 def _check_magic(f, magic: bytes, path):
     got = _read_exact(f, 4, "magic")
     if got != magic:
@@ -109,6 +116,7 @@ def read_features(path) -> np.ndarray:
         _check_magic(f, b"SHDF", path)
         n, d = _read_struct(f, "<QI", "feature header")
         data = _read_exact(f, n * d * 4, "feature rows")
+        _check_end(f, path)
         return np.frombuffer(data, dtype="<f4").reshape(n, d).copy()
 
 
@@ -150,8 +158,17 @@ def read_codes(path) -> CodeDatabase:
         (n,) = _read_struct(f, "<Q", "code count")
         nbytes = layout.total_bytes
         data = _read_exact(f, n * nbytes, "packed codes")
-        packed = np.frombuffer(data, dtype=np.uint8).reshape(n, nbytes).copy()
-        return CodeDatabase(layout=layout, packed=packed)
+        _check_end(f, path)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(n, nbytes).copy()
+    # a segment's last byte holds its final width % 8 bits, LSB-first; the
+    # bits above them are padding and must be zero
+    bad = np.zeros(n, dtype=bool)
+    for seg in layout.segments:
+        if seg.width % 8:
+            bad |= (packed[:, seg.byte_offset + seg.n_bytes - 1] >> seg.width % 8) != 0
+    if bad.any():
+        raise FileFormatError(f"{path}: code row {int(bad.argmax())} has nonzero padding bits")
+    return CodeDatabase(layout=layout, packed=packed)
 
 
 # --- model ("SHDM") ----------------------------------------------------------
@@ -182,6 +199,7 @@ def read_model(path) -> HashModel:
                 _read_exact(f, rows * 8, "layer bias"), dtype="<f8"
             ).copy())
         layout = _read_layout_block(f, path)
+        _check_end(f, path)
     if not W:
         raise FileFormatError(f"{path}: model has no layers")
     arch = Architecture(d=W[0].shape[1], hidden=tuple(w.shape[0] for w in W[:-1]),

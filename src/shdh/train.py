@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteInput,
     ShapeMismatch,
-    UnknownLabel,
 )
 from .hierarchy import Taxonomy
 
@@ -63,7 +62,10 @@ class TrainRecord:
     trace: float  # alpha * tr(H A H^T); loss = fit - trace
 
 
-def _check_loss_inputs(Htilde, S, layout):
+def loss_terms(Htilde, S, layout: SegmentLayout,
+               alpha: float) -> tuple[tuple[float, float, float], np.ndarray]:
+    """((loss, fit, trace), dJ/dH) with loss = fit - trace and the exact
+    gradient dJ/dH = 4 (H A H^T - L*S) H A - 2 alpha H A."""
     H = np.asarray(Htilde, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != layout.L:
@@ -71,28 +73,12 @@ def _check_loss_inputs(Htilde, S, layout):
     n = H.shape[0]
     if S.shape != (n, n):
         raise ShapeMismatch(f"similarities must be {n} x {n}, got {S.shape}")
-    if not (np.isfinite(H).all() and np.isfinite(S).all()):
-        raise NonFiniteInput("loss inputs contain NaN or infinity")
-    return H, S
-
-
-def loss_terms(Htilde, S, layout: SegmentLayout, alpha: float) -> tuple[float, float, float]:
-    """(loss, fit, trace) where loss = fit - trace."""
-    H, S = _check_loss_inputs(Htilde, S, layout)
     HA = H * layout.A
     P = HA @ H.T
     R = P - layout.L * S
     fit = float((R * R).sum())
     trace = float(alpha * np.trace(P))
-    return fit - trace, fit, trace
-
-
-def loss_gradient(Htilde, S, layout: SegmentLayout, alpha: float) -> np.ndarray:
-    """dJ/dH, exact: 4 (H A H^T - L*S) H A - 2 alpha H A."""
-    H, S = _check_loss_inputs(Htilde, S, layout)
-    HA = H * layout.A
-    R = HA @ H.T - layout.L * S
-    return 4.0 * (R @ HA) - 2.0 * alpha * HA
+    return (fit - trace, fit, trace), 4.0 * (R @ HA) - 2.0 * alpha * HA
 
 
 def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: float):
@@ -103,8 +89,7 @@ def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: f
     is positive); the identity output layer has an all-ones mask.
     """
     Htilde, activations = forward(model, X)
-    J, fit, trace = loss_terms(Htilde, S, model.layout, alpha)
-    delta = loss_gradient(Htilde, S, model.layout, alpha)
+    stats, delta = loss_terms(Htilde, S, model.layout, alpha)
 
     gW = [None] * model.n_layers
     gv = [None] * model.n_layers
@@ -114,7 +99,7 @@ def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: f
         gv[m] = delta.sum(axis=0)
         if m > 0:
             delta = (delta @ model.W[m]) * (activations[m - 1] > 0)
-    return (J, fit, trace), gW, gv
+    return stats, gW, gv
 
 
 def _batch_scale(layout: SegmentLayout, m: int) -> float:
@@ -145,24 +130,14 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, labels_batch,
     m = X.shape[0]
     if len(labels_batch) != m:
         raise ShapeMismatch(f"{len(labels_batch)} labels for {m} rows")
-    if not np.isfinite(X).all():
-        raise NonFiniteInput("batch features contain NaN or infinity")
     S = tax.similarity_matrix(labels_batch)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # guard below reports overflow
-            (J, fit, trace), gW, gv = parameter_gradients(model, X, S, config.alpha * m)
-    except NonFiniteInput:
-        # features were finite, so overflow came from the parameters diverging
-        raise NonFiniteGradient(
-            "forward pass overflowed; reduce eta or rescale the features"
-        ) from None
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        (J, fit, trace), gW, gv = parameter_gradients(model, X, S, config.alpha * m)
+    if not (np.isfinite(J) and all(np.isfinite(g).all() for g in gW + gv)):
+        # forward rejected non-finite features, so the parameters diverged
+        raise NonFiniteGradient("training diverged; reduce eta or rescale the features")
     scale = _batch_scale(model.layout, m)
     stats = (J * scale, fit * scale, trace * scale)
-    for g in gW + gv:
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(
-                "gradient overflowed; reduce eta or rescale the features"
-            )
     updated = HashModel(
         arch=model.arch,
         layout=model.layout,
@@ -183,10 +158,10 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
         raise EmptyDataset(f"need at least 2 training items, got {n}")
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for {n} feature rows")
+    if not np.isfinite(features).all():
+        raise NonFiniteInput("training features contain NaN or infinity")
     labels = list(labels)
-    for lab in labels:
-        if lab not in tax.leaves:
-            raise UnknownLabel(f"{lab!r} is not a leaf label of the taxonomy")
+    tax.label_rows(labels)  # raises UnknownLabel for a label that is not a leaf
 
     seed_init, seed_sample = np.random.SeedSequence(config.seed).spawn(2)
     model = init_model(arch, layout, seed_init)

@@ -95,9 +95,9 @@ def finite_diff_gradient(Htilde, S, layout, alpha: float, eps: float = 1e-4) -> 
         for j in range(H.shape[1]):
             orig = H[i, j]
             H[i, j] = orig + eps
-            jp = loss_terms(H, S, layout, alpha)[0]
+            jp = loss_terms(H, S, layout, alpha)[0][0]
             H[i, j] = orig - eps
-            jm = loss_terms(H, S, layout, alpha)[0]
+            jm = loss_terms(H, S, layout, alpha)[0][0]
             H[i, j] = orig
             grad[i, j] = (jp - jm) / (2.0 * eps)
     return grad

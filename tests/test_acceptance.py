@@ -21,7 +21,7 @@ from shdh.datagen import SyntheticConfig, generate
 from shdh.hierarchy import Taxonomy, layer_weights
 from shdh.index import brute_force_topn, search_radius, search_topn
 from shdh.metrics import acg_at, dcg_at, eval_queries, ndcg_at, weighted_recall_at
-from shdh.train import TrainConfig, loss_gradient, loss_terms, train
+from shdh.train import TrainConfig, loss_terms, train
 from shdh.codes import forward
 
 from oracles import (
@@ -98,7 +98,7 @@ def test_criterion_3_gradients():
         S = (M + M.T) / 2
         np.fill_diagonal(S, 1.0)
         alpha = float(rng.uniform(0, 2))
-        g = loss_gradient(H, S, layout, alpha)
+        g = loss_terms(H, S, layout, alpha)[1]
         fd = finite_diff_gradient(H, S, layout, alpha, eps=1e-4)
         worst = max(worst, _grad_error(g, fd))
 
@@ -123,9 +123,9 @@ def test_criterion_3_gradients():
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    jp = loss_terms(forward(model, X)[0], S, layout, 1.0)[0]
+                    jp = loss_terms(forward(model, X)[0], S, layout, 1.0)[0][0]
                     flat[idx] = orig - eps
-                    jm = loss_terms(forward(model, X)[0], S, layout, 1.0)[0]
+                    jm = loss_terms(forward(model, X)[0], S, layout, 1.0)[0][0]
                     flat[idx] = orig
                     fd[idx] = (jp - jm) / (2 * eps)
                 worst = max(worst, _grad_error(grad.reshape(-1), fd))

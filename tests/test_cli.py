@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from shdh.cli import main
-from shdh.io import read_codes, read_features, read_model, write_features, write_labels
+from shdh.codes import CodeDatabase, segment_layout
+from shdh.io import (
+    read_codes,
+    read_features,
+    read_model,
+    write_codes,
+    write_features,
+    write_labels,
+)
+
+from conftest import random_codes
 
 K4_TAXONOMY = (
     "root\ta\nroot\tb\n"
@@ -236,6 +246,16 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "BAD_FILE_FORMAT" in err and "true or false" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--query-id", "5"]])
+    def test_config_repeatable_option_exit_2(self, trained, tmp_path, capsys, flags):
+        # a config value would be one string, not a list of ids
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("n=5\nquery-id=17\n")
+        rc = main(["query", "--config", str(cfg), "--codes", str(trained / "db.shdc"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BAD_FILE_FORMAT: ") and "line 2" in err and "query_id" in err
+
     def test_query_by_features(self, dataset, trained, tmp_path):
         out = tmp_path / "ranked.tsv"
         rc = main(["query", "--codes", str(trained / "db.shdc"),
@@ -380,6 +400,18 @@ class TestInspect:
         rc = main(["inspect", str(p)])
         assert rc == 2
         assert "BAD_FILE_FORMAT" in capsys.readouterr().err
+
+
+def test_nonzero_padding_bits_exit_2(tmp_path, capsys):
+    layout = segment_layout(48, 4, "paper-literal")  # four 12-bit segments, 2 bytes each
+    packed = random_codes(np.random.default_rng(0), layout, 6)
+    packed[3, 3] |= 0x40  # a padding bit of the second segment
+    path = tmp_path / "dirty.shdc"
+    write_codes(path, CodeDatabase(layout=layout, packed=packed))
+    for argv in (["inspect", str(path)], ["query", "--codes", str(path), "--query-id", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BAD_FILE_FORMAT: ") and "row 3" in err
 
 
 def test_unknown_flag_fails_fast(trained):

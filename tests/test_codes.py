@@ -113,8 +113,8 @@ class TestForward:
         arch = Architecture(d=3, hidden=(), L=2)
         model = HashModel(arch=arch, layout=layout,
                           W=[np.zeros((2, 3))], v=[np.zeros(2)])
-        out, acts = forward(model, np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.0])
+        out, acts = forward(model, np.array([[1.0, -2.0, 3.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0]])
         assert len(acts) == 1
 
     def test_affine_evaluation(self):
@@ -122,8 +122,8 @@ class TestForward:
         arch = Architecture(d=1, hidden=(), L=1)
         model = HashModel(arch=arch, layout=layout,
                           W=[np.array([[2.0]])], v=[np.array([1.0])])
-        out, _ = forward(model, np.array([3.0]))
-        assert out[0] == 7.0
+        out, _ = forward(model, np.array([[3.0]]))
+        assert out[0, 0] == 7.0
 
     def test_relu_clamps_hidden(self):
         layout = make_layout([1], [2], K=2)
@@ -133,33 +133,35 @@ class TestForward:
             W=[np.array([[-1.0]]), np.array([[1.0]])],
             v=[np.array([0.0]), np.array([0.0])],
         )
-        out, acts = forward(model, np.array([5.0]))
-        assert acts[0][0] == 0.0  # rectifier clamps -5 to 0
-        assert out[0] == 0.0
+        out, acts = forward(model, np.array([[5.0]]))
+        assert acts[0][0, 0] == 0.0  # rectifier clamps -5 to 0
+        assert out[0, 0] == 0.0
 
     def test_batch_matches_single(self):
-        # BLAS picks different kernels for matrix-matrix vs vector products,
-        # so rows of a larger batch agree with single-row calls to rounding.
+        # BLAS may pick different kernels for different batch heights, so
+        # rows of a larger batch agree with one-row batches to rounding.
         layout = segment_layout(8, 3)
         arch = Architecture(d=4, hidden=(6,), L=8)
         model = init_model(arch, layout, seed=3)
         X = np.random.default_rng(4).normal(size=(5, 4))
         batch_out, _ = forward(model, X)
         for i in range(5):
-            row_out, _ = forward(model, X[i])
-            np.testing.assert_allclose(batch_out[i], row_out, rtol=1e-12, atol=0)
+            row_out, _ = forward(model, X[i:i + 1])
+            np.testing.assert_allclose(batch_out[i], row_out[0], rtol=1e-12, atol=0)
 
     def test_nonfinite_input(self):
         layout = segment_layout(8, 3)
         model = init_model(Architecture(d=4, hidden=(), L=8), layout, seed=0)
         with pytest.raises(NonFiniteInput):
-            forward(model, np.array([1.0, np.nan, 0.0, 2.0]))
+            forward(model, np.array([[1.0, np.nan, 0.0, 2.0]]))
 
     def test_shape_mismatch(self):
         layout = segment_layout(8, 3)
         model = init_model(Architecture(d=4, hidden=(), L=8), layout, seed=0)
         with pytest.raises(ShapeMismatch):
-            forward(model, np.zeros(5))
+            forward(model, np.zeros((1, 5)))
+        with pytest.raises(ShapeMismatch):  # batches only: a single vector is 1 x d
+            forward(model, np.zeros(4))
 
     def test_hidden_activations_nonnegative(self):
         layout = segment_layout(8, 3)
@@ -238,8 +240,8 @@ class TestEncodeBatch:
         model = init_model(Architecture(d=4, hidden=(8,), L=16), layout, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 4))
         db = encode_batch(model, x)
-        relaxed, _ = forward(model, x[0])
-        np.testing.assert_array_equal(db.packed[0], quantize(relaxed, layout).packed)
+        relaxed, _ = forward(model, x)
+        np.testing.assert_array_equal(db.packed[0], quantize(relaxed[0], layout).packed)
 
     def test_permutation_equivariance(self):
         layout = segment_layout(16, 3)

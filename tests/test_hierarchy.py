@@ -11,7 +11,7 @@ from shdh.errors import (
     SimilarityCapExceeded,
     UnknownLabel,
 )
-from shdh.hierarchy import Taxonomy, layer_weights, parse_taxonomy
+from shdh.hierarchy import DEFAULT_MATRIX_CAP, Taxonomy, layer_weights, parse_taxonomy
 
 from oracles import (
     hier_similarity_brute,
@@ -162,7 +162,7 @@ class TestSimilarityMatrix:
 
     def test_cap(self, toy3):
         with pytest.raises(SimilarityCapExceeded):
-            toy3.similarity_matrix(["rose"] * 10, cap=5)
+            toy3.similarity_matrix(["rose"] * (DEFAULT_MATRIX_CAP + 1))
 
     def test_exact_symmetry_unit_diagonal_and_brute_force(self):
         rng = np.random.default_rng(23)

@@ -101,6 +101,25 @@ class TestModel:
         assert got.arch.hidden == ()
 
 
+@pytest.mark.parametrize("fmt", ["features", "codes", "model"])
+def test_trailing_bytes_rejected(tmp_path, fmt):
+    layout = segment_layout(16, 3)
+    write, read, value = {
+        "features": (write_features, read_features, np.ones((3, 4), np.float32)),
+        "codes": (write_codes, read_codes, CodeDatabase(
+            layout=layout, packed=random_codes(np.random.default_rng(3), layout, 4))),
+        "model": (write_model, read_model,
+                  init_model(Architecture(d=4, hidden=(5,), L=16), layout, seed=0)),
+    }[fmt]
+    path = tmp_path / "artifact"
+    write(path, value)
+    read(path)
+    with open(path, "ab") as f:
+        f.write(b"\x00" * 4)
+    with pytest.raises(FileFormatError, match="after the payload"):
+        read(path)
+
+
 class TestTextFiles:
     def test_taxonomy_round_trip(self, tmp_path):
         path = tmp_path / "t.tsv"

@@ -13,7 +13,6 @@ from shdh.errors import (
 from shdh.train import (
     TrainConfig,
     backprop_step,
-    loss_gradient,
     loss_terms,
     parameter_gradients,
     train,
@@ -52,11 +51,11 @@ def random_instance(rng):
 class TestLoss:
     def test_hand_value_at_one(self):
         layout = unit_layout()
-        assert loss_terms(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0)[0] == -1.0
+        assert loss_terms(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0)[0][0] == -1.0
 
     def test_hand_value_at_zero(self):
         layout = unit_layout()
-        assert loss_terms(np.array([[0.0]]), np.array([[1.0]]), layout, alpha=1.0)[0] == 1.0
+        assert loss_terms(np.array([[0.0]]), np.array([[1.0]]), layout, alpha=1.0)[0][0] == 1.0
 
     def test_exact_solution_zero_fit(self):
         # codes at +/-sqrt(2) per bit solve H A H^T = L * S for this instance
@@ -64,7 +63,7 @@ class TestLoss:
         h = np.sqrt(2.0)
         H = np.array([[h, h, h, h], [h, h, -h, -h]])
         S = np.array([[1.0, 1 / 3], [1 / 3, 1.0]])
-        J, fit, trace = loss_terms(H, S, layout, alpha=0.0)
+        (J, fit, trace), _ = loss_terms(H, S, layout, alpha=0.0)
         assert fit == pytest.approx(0.0, abs=1e-24)
         assert J == pytest.approx(0.0, abs=1e-24)
 
@@ -72,8 +71,8 @@ class TestLoss:
         rng = np.random.default_rng(0)
         H, S, layout, alpha = random_instance(rng)
         perm = rng.permutation(H.shape[0])
-        a = loss_terms(H, S, layout, alpha)[0]
-        b = loss_terms(H[perm], S[np.ix_(perm, perm)], layout, alpha)[0]
+        a = loss_terms(H, S, layout, alpha)[0][0]
+        b = loss_terms(H[perm], S[np.ix_(perm, perm)], layout, alpha)[0][0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_shape_mismatch(self):
@@ -83,24 +82,19 @@ class TestLoss:
         with pytest.raises(ShapeMismatch):
             loss_terms(np.zeros((2, 1)), np.eye(3), layout, 1.0)
 
-    def test_nonfinite(self):
-        layout = unit_layout()
-        with pytest.raises(NonFiniteInput):
-            loss_terms(np.array([[np.nan]]), np.eye(1), layout, 1.0)
-
 
 class TestLossGradient:
     def test_hand_value(self):
         # J(h) = (h^2 - 1)^2 - h^2, dJ/dh = 4(h^2-1)h - 2h; at h=1 -> -2
         layout = unit_layout()
-        g = loss_gradient(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0)
+        g = loss_terms(np.array([[1.0]]), np.array([[1.0]]), layout, alpha=1.0)[1]
         assert g[0, 0] == -2.0
 
     def test_zero_codes_stationary_for_fit(self):
         layout = segment_layout(6, 3)
         H = np.zeros((4, 6))
         S = np.eye(4)
-        g = loss_gradient(H, S, layout, alpha=0.0)
+        g = loss_terms(H, S, layout, alpha=0.0)[1]
         np.testing.assert_array_equal(g, np.zeros_like(H))
 
     def test_matches_finite_differences_hand_case(self):
@@ -114,7 +108,7 @@ class TestLossGradient:
         rng = np.random.default_rng(42)
         for _ in range(20):
             H, S, layout, alpha = random_instance(rng)
-            g = loss_gradient(H, S, layout, alpha)
+            g = loss_terms(H, S, layout, alpha)[1]
             fd = finite_diff_gradient(H, S, layout, alpha, eps=1e-4)
             assert grad_error(g, fd) < 1e-5
 
@@ -124,7 +118,7 @@ class TestFiniteDiff:
         layout = unit_layout()
         H = np.array([[0.7]])
         S = np.array([[1.0]])
-        exact = loss_gradient(H, S, layout, 1.0)[0, 0]
+        exact = loss_terms(H, S, layout, 1.0)[1][0, 0]
         err1 = abs(finite_diff_gradient(H, S, layout, 1.0, eps=2e-3)[0, 0] - exact)
         err2 = abs(finite_diff_gradient(H, S, layout, 1.0, eps=1e-3)[0, 0] - exact)
         assert err2 < err1 / 3.0  # halving eps shrinks error ~4x
@@ -169,9 +163,9 @@ class TestParameterGradients:
                     for idx in range(flat.size):
                         orig = flat[idx]
                         flat[idx] = orig + eps
-                        jp = loss_terms(forward(model, X)[0], S, layout, alpha)[0]
+                        jp = loss_terms(forward(model, X)[0], S, layout, alpha)[0][0]
                         flat[idx] = orig - eps
-                        jm = loss_terms(forward(model, X)[0], S, layout, alpha)[0]
+                        jm = loss_terms(forward(model, X)[0], S, layout, alpha)[0][0]
                         flat[idx] = orig
                         fd_flat[idx] = (jp - jm) / (2 * eps)
                     assert grad_error(grad, fd) < 1e-5
@@ -195,7 +189,7 @@ class TestBackpropStep:
         m = 2
         S = toy3.similarity_matrix(labels)
         H = X @ W.T + v
-        G = loss_gradient(H, S, layout, alpha=1.0 * m) / (layout.max_distance * m * m)
+        G = loss_terms(H, S, layout, alpha=1.0 * m)[1] / (layout.max_distance * m * m)
         np.testing.assert_allclose(updated.W[0], W - eta * (G.T @ X), rtol=1e-14)
         np.testing.assert_allclose(updated.v[0], v - eta * G.sum(axis=0), rtol=1e-14)
         assert J == pytest.approx(fit - trace, rel=1e-12)
@@ -218,7 +212,7 @@ class TestBackpropStep:
         h = np.sqrt(2.0)
         H = np.array([[h, h, h, h], [h, h, -h, -h]])
         S = np.array([[1.0, 1 / 3], [1 / 3, 1.0]])
-        g = loss_gradient(H, S, layout, alpha=1.0)
+        g = loss_terms(H, S, layout, alpha=1.0)[1]
         np.testing.assert_allclose(g, -2.0 * H * layout.A, atol=1e-12)
 
     def test_batch_too_small(self, toy3):
@@ -227,6 +221,15 @@ class TestBackpropStep:
         config = TrainConfig(iters=1, batch=2, seed=0)
         with pytest.raises(ShapeMismatch):
             backprop_step(model, np.ones((1, 2)), ["rose"], toy3, config, 0.01)
+
+    def test_nonfinite_batch_is_an_input_error(self, toy3):
+        # a NaN feature is bad input, not a diverged model
+        layout = segment_layout(4, 2)
+        model = init_model(Architecture(d=2, hidden=(3,), L=4), layout, seed=0)
+        config = TrainConfig(iters=1, batch=2, seed=0)
+        X = np.array([[1.0, np.nan], [0.5, 2.0]])
+        with pytest.raises(NonFiniteInput):
+            backprop_step(model, X, ["rose", "sun"], toy3, config, 0.01)
 
     def test_nonfinite_gradient_signaled(self, toy3):
         layout = segment_layout(4, 2)
@@ -293,6 +296,16 @@ class TestTrain:
             train(X, ["daisy"] * len(X), toy3, arch, layout,
                   TrainConfig(iters=1, batch=8, seed=0))
 
+    def test_nan_feature_row_rejected_for_every_seed(self, toy3):
+        # the whole feature matrix is checked, not only the rows a seed samples
+        X, labels = self._data(n=2000)
+        X[1234, 0] = np.nan
+        layout = segment_layout(8, 3)
+        arch = Architecture(d=6, hidden=(5,), L=8)
+        for seed in range(8):
+            with pytest.raises(NonFiniteInput):
+                train(X, labels, toy3, arch, layout, TrainConfig(iters=20, batch=64, seed=seed))
+
     def test_empty_dataset(self, toy3):
         layout = segment_layout(8, 3)
         arch = Architecture(d=6, hidden=(), L=8)
@@ -333,7 +346,8 @@ class TestBatchObjective:
         config = TrainConfig(iters=1, batch=6, alpha=1.5, seed=0)
         _, (J, fit, trace) = backprop_step(model, X, labels, toy3, config, eta=0.01)
         S = toy3.similarity_matrix(labels)
-        raw_J, raw_fit, raw_trace = loss_terms(forward(model, X)[0], S, layout, alpha=1.5 * 6)
+        (raw_J, raw_fit, raw_trace), _ = loss_terms(forward(model, X)[0], S, layout,
+                                                     alpha=1.5 * 6)
         scale = 1.0 / (layout.max_distance * 6 * 6)
         assert J == raw_J * scale
         assert fit == raw_fit * scale
