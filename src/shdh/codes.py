@@ -23,6 +23,10 @@ SCHEME_EFFECTIVE = "effective"
 SCHEME_PAPER_LITERAL = "paper-literal"
 SCHEMES = (SCHEME_EFFECTIVE, SCHEME_PAPER_LITERAL)
 
+# Rows per forward pass in encode_batch. Fixed, so that BLAS sees the same
+# shapes, and a row gets the same code, on every run.
+ENCODE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -243,13 +247,20 @@ class CodeDatabase:
 
 
 def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
-    """Forward + quantize every row, preserving input order."""
-    features = np.asarray(features, dtype=np.float64)
+    """Forward + quantize every row, preserving input order.
+
+    Rows go through `forward` in blocks of ENCODE_BLOCK, each widened to
+    float64 on its own and packed straight into the output, so memory grows
+    with the features and the packed codes, not with n times the hidden
+    widths.
+    """
+    features = np.asarray(features)
     if features.ndim != 2:
         raise ShapeMismatch(f"expected n x d features, got shape {features.shape}")
-    if features.shape[0] == 0:
-        packed = np.zeros((0, model.layout.total_bytes), dtype=np.uint8)
-        return CodeDatabase(layout=model.layout, packed=packed)
-    relaxed, _ = forward(model, features)
-    bits = (relaxed > 0).astype(np.uint8)
-    return CodeDatabase(layout=model.layout, packed=pack_bits(model.layout, bits))
+    n = features.shape[0]
+    packed = np.empty((n, model.layout.total_bytes), dtype=np.uint8)
+    for start in range(0, n, ENCODE_BLOCK):
+        rows = slice(start, start + ENCODE_BLOCK)
+        relaxed, _ = forward(model, features[rows])
+        packed[rows] = pack_bits(model.layout, relaxed > 0)
+    return CodeDatabase(layout=model.layout, packed=packed)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 import os
 import struct
+import sys
 import tempfile
 from contextlib import contextmanager
 
@@ -89,6 +91,26 @@ def _check_end(f, path):
         raise FileFormatError(f"{path}: unexpected bytes after the payload")
 
 
+def _read_payload(f, path, shape, dtype: str, what: str) -> np.ndarray:
+    """Read the next `shape` values of `dtype` straight into a new array.
+
+    The size the header claims is checked against what the file holds before
+    anything is allocated, so a corrupt header cannot ask for more memory
+    than the file's own size.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise FileFormatError(
+            f"{path}: truncated file: the header claims {size} bytes of {what}, {left} remain")
+    if max(shape) > sys.maxsize:  # numpy cannot shape an array this long, even an empty one
+        raise FileFormatError(f"{path}: {what} of shape {shape} are too long")
+    out = np.empty(shape, dtype=dtype)
+    if f.readinto(out) != size:
+        raise FileFormatError(f"{path}: truncated file while reading {what}")
+    return out
+
+
 def _check_magic(f, magic: bytes, path):
     got = _read_exact(f, 4, "magic")
     if got != magic:
@@ -115,9 +137,9 @@ def read_features(path) -> np.ndarray:
     with _open_binary(path) as f:
         _check_magic(f, b"SHDF", path)
         n, d = _read_struct(f, "<QI", "feature header")
-        data = _read_exact(f, n * d * 4, "feature rows")
+        X = _read_payload(f, path, (n, d), "<f4", "feature rows")
         _check_end(f, path)
-        return np.frombuffer(data, dtype="<f4").reshape(n, d).copy()
+    return X
 
 
 # --- layout block ------------------------------------------------------------
@@ -156,10 +178,8 @@ def read_codes(path) -> CodeDatabase:
         _check_magic(f, b"SHDC", path)
         layout = _read_layout_block(f, path)
         (n,) = _read_struct(f, "<Q", "code count")
-        nbytes = layout.total_bytes
-        data = _read_exact(f, n * nbytes, "packed codes")
+        packed = _read_payload(f, path, (n, layout.total_bytes), "u1", "packed codes")
         _check_end(f, path)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(n, nbytes).copy()
     # a segment's last byte holds its final width % 8 bits, LSB-first; the
     # bits above them are padding and must be zero
     bad = np.zeros(n, dtype=bool)
@@ -192,12 +212,8 @@ def read_model(path) -> HashModel:
         W, v = [], []
         for _ in range(n_layers):
             rows, cols = _read_struct(f, "<II", "layer shape")
-            W.append(np.frombuffer(
-                _read_exact(f, rows * cols * 8, "layer weights"), dtype="<f8"
-            ).reshape(rows, cols).copy())
-            v.append(np.frombuffer(
-                _read_exact(f, rows * 8, "layer bias"), dtype="<f8"
-            ).copy())
+            W.append(_read_payload(f, path, (rows, cols), "<f8", "layer weights"))
+            v.append(_read_payload(f, path, (rows,), "<f8", "layer bias"))
         layout = _read_layout_block(f, path)
         _check_end(f, path)
     if not W:

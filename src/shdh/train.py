@@ -151,8 +151,9 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
           layout: SegmentLayout, config: TrainConfig) -> tuple[HashModel, list[TrainRecord]]:
     """Algorithm: init the model, then T iterations of sample-batch + SGD step,
     with eta multiplied by ETA_DECAY every ETA_DECAY_EVERY iterations.
-    Returns the model and one TrainRecord per iteration."""
-    features = np.asarray(features, dtype=np.float64)
+    Returns the model and one TrainRecord per iteration. The features keep
+    their own dtype; backprop_step widens each batch to float64."""
+    features = np.asarray(features)
     n = features.shape[0] if features.ndim == 2 else 0
     if n < 2:
         raise EmptyDataset(f"need at least 2 training items, got {n}")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,16 @@ def random_codes(rng, layout, n):
 
     bits = rng.integers(0, 2, size=(n, layout.L), dtype=np.uint8)
     return pack_bits(layout, bits)
+
+
+# Headers that claim far more payload than the 1 KiB that follows them.
+OVERSIZED_HEADERS = {
+    "features": b"SHDF" + struct.pack("<HQI", 1, 2**40, 64),       # 2^40 rows of 64 floats
+    "codes": b"SHDC" + struct.pack("<HHBBHHQ", 1, 16, 3, 0, 8, 8, 2**50),  # 2^50 codes
+    "model": b"SHDM" + struct.pack("<HIII", 1, 1, 2**31, 2**31),   # one 2^31 x 2^31 layer
+}
+
+
+def write_oversized(path, fmt):
+    path.write_bytes(OVERSIZED_HEADERS[fmt] + bytes(1024))
+    return path

@@ -82,6 +82,22 @@ def random_taxonomy(rng, K: int, max_leaves: int = 200):
     return parent, level
 
 
+# --- encoding ------------------------------------------------------------------
+
+def forward_rows_brute(W, v, X) -> np.ndarray:
+    """Relaxed codes row by row in float64: one matrix-vector product per
+    layer and row, rectified below the last layer."""
+    out = np.empty((len(X), W[-1].shape[0]))
+    for i, x in enumerate(np.asarray(X, dtype=np.float64)):
+        phi = x
+        for m, (w, b) in enumerate(zip(W, v)):
+            phi = w @ phi + b
+            if m < len(W) - 1:
+                phi = np.maximum(phi, 0.0)
+        out[i] = phi
+    return out
+
+
 # --- training ------------------------------------------------------------------
 
 def finite_diff_gradient(Htilde, S, layout, alpha: float, eps: float = 1e-4) -> np.ndarray:

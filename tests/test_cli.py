@@ -14,7 +14,7 @@ from shdh.io import (
     write_labels,
 )
 
-from conftest import random_codes
+from conftest import random_codes, write_oversized
 
 K4_TAXONOMY = (
     "root\ta\nroot\tb\n"
@@ -412,6 +412,13 @@ def test_nonzero_padding_bits_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("BAD_FILE_FORMAT: ") and "row 3" in err
+
+
+@pytest.mark.parametrize("fmt", ["features", "codes", "model"])
+def test_oversized_header_exit_2(tmp_path, capsys, fmt):
+    assert main(["inspect", str(write_oversized(tmp_path / "artifact", fmt))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BAD_FILE_FORMAT: ") and "truncated" in err
 
 
 def test_unknown_flag_fails_fast(trained):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import shdh
 from shdh.codes import (
+    ENCODE_BLOCK,
     Architecture,
     BinaryCode,
     CodeDatabase,
@@ -19,6 +25,7 @@ from shdh.hierarchy import layer_weights
 from shdh.index import distance_keys
 
 from conftest import make_layout
+from oracles import forward_rows_brute
 
 
 class TestSegmentLayout:
@@ -258,3 +265,74 @@ class TestEncodeBatch:
         X = np.random.default_rng(5).normal(size=(10, 4))
         np.testing.assert_array_equal(encode_batch(model, X).packed,
                                       encode_batch(model, X).packed)
+
+    @staticmethod
+    def random_model(seed):
+        """Normal weights, so that bits take both signs; L=21 splits into
+        widths 10 and 11, so both segments carry padding bits."""
+        layout = segment_layout(21, 3)
+        arch = Architecture(d=5, hidden=(9,), L=21)
+        rng = np.random.default_rng(seed)
+        return HashModel(arch=arch, layout=layout,
+                         W=[rng.normal(size=dims) for dims in arch.layer_dims],
+                         v=[rng.normal(size=dims[0]) for dims in arch.layer_dims])
+
+    @pytest.mark.parametrize("n", [0, 1, ENCODE_BLOCK - 1, ENCODE_BLOCK, ENCODE_BLOCK + 1,
+                                   2 * ENCODE_BLOCK + 3])
+    def test_block_boundaries(self, n):
+        # Rows of a block may round differently from a whole-batch forward
+        # (see test_batch_matches_single), so each bit is checked against the
+        # sign of a row-by-row forward wherever that sign is clear of rounding.
+        model = self.random_model(7)
+        layout = model.layout
+        X = np.random.default_rng(n).normal(size=(n, 5)).astype(np.float32)
+        db = encode_batch(model, X)
+        assert db.packed.shape == (n, layout.total_bytes)
+        for seg in layout.segments:
+            assert not (db.packed[:, seg.byte_offset + seg.n_bytes - 1] >> seg.width % 8).any()
+        relaxed = forward_rows_brute(model.W, model.v, X)
+        clear = np.abs(relaxed) > 1e-9
+        assert n == 0 or clear.mean() > 0.99
+        bits = unpack_bits(layout, db.packed)
+        np.testing.assert_array_equal(bits[clear], (relaxed > 0)[clear])
+
+    def test_nonfinite_in_last_block(self):
+        model = self.random_model(7)
+        X = np.ones((2 * ENCODE_BLOCK + 3, 5))
+        X[-1, -1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            encode_batch(model, X)
+
+
+# The child encodes 200 000 rows and prints its peak resident set (VmHWM)
+# minus its resident set just before encode_batch, in KiB. A whole-batch
+# forward would keep 200 000 x (256 + 32) float64 activations, 440 MiB.
+MEMORY_CHILD = """
+import numpy as np
+from shdh.codes import Architecture, encode_batch, init_model, segment_layout
+
+def status_kib(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+model = init_model(Architecture(d=16, hidden=(256,), L=32), segment_layout(32, 3), seed=0)
+X = np.random.default_rng(0).standard_normal((200_000, 16), dtype=np.float32)
+before = status_kib("VmRSS")
+db = encode_batch(model, X)
+assert len(db) == 200_000
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for VmHWM and VmRSS")
+def test_encode_memory_bounded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shdh.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth_mib = int(proc.stdout) / 1024
+    assert growth_mib < 64, f"encode grew the resident set by {growth_mib:.0f} MiB"

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from shdh.io import (
 )
 from shdh.train import TrainRecord
 
-from conftest import TOY3_TEXT, random_codes
+from conftest import TOY3_TEXT, random_codes, write_oversized
 
 
 class TestFeatures:
@@ -118,6 +119,22 @@ def test_trailing_bytes_rejected(tmp_path, fmt):
         f.write(b"\x00" * 4)
     with pytest.raises(FileFormatError, match="after the payload"):
         read(path)
+
+
+@pytest.mark.parametrize("fmt, read", [("features", read_features), ("codes", read_codes),
+                                       ("model", read_model)])
+def test_oversized_header_rejected(tmp_path, fmt, read):
+    path = write_oversized(tmp_path / "artifact", fmt)
+    with pytest.raises(FileFormatError, match="truncated"):
+        read(path)
+
+
+def test_unshapeable_feature_count_rejected(tmp_path):
+    # 2^64 - 1 rows of zero values: no payload, but no array can have that many rows
+    path = tmp_path / "f.shdf"
+    path.write_bytes(b"SHDF" + struct.pack("<HQI", 1, 2**64 - 1, 0))
+    with pytest.raises(FileFormatError, match="too long"):
+        read_features(path)
 
 
 class TestTextFiles:
