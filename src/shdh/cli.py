@@ -27,8 +27,6 @@ from .errors import (
     FileFormatError,
     FileNotFound,
     InvalidNumber,
-    ModelFeatureDimMismatch,
-    ShapeMismatch,
     ShdhError,
     UnknownQueryId,
     ValidationError,
@@ -141,10 +139,6 @@ def cmd_train(args) -> int:
     features = read_features(args.features)
     _, labels = read_labels(args.labels)
     tax = read_taxonomy(args.taxonomy)
-    if len(labels) != features.shape[0]:
-        raise ShapeMismatch(
-            f"{len(labels)} labels for {features.shape[0]} feature rows"
-        )
     layout = segment_layout(_number(args.bits, "--bits"), tax.K, args.scheme)
     hidden = tuple(_int_list(args.hidden, "--hidden"))
     arch = Architecture(d=features.shape[1], hidden=hidden, L=layout.L)
@@ -170,10 +164,6 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     model = read_model(args.model)
     features = read_features(args.features)
-    if features.shape[0] > 0 and features.shape[1] != model.arch.d:
-        raise ModelFeatureDimMismatch(
-            f"model expects {model.arch.d}-D features, file has {features.shape[1]}-D"
-        )
     db = encode_batch(model, features)
     write_codes(args.out, db)
     _write_manifest(args.out, "encode", args)
@@ -186,6 +176,8 @@ def cmd_query(args) -> int:
     if len(db) == 0:
         raise EmptyDatabase(f"{args.codes} holds no codes")
 
+    if args.query_id is not None and args.query_features:
+        raise ValidationError("give --query-id or --query-features, not both")
     queries = []
     if args.query_id is not None:
         for qid in (_number(q, "--query-id") for q in args.query_id):
@@ -195,13 +187,7 @@ def cmd_query(args) -> int:
     elif args.query_features:
         if not args.model:
             raise ValidationError("--query-features requires --model")
-        model = read_model(args.model)
-        qx = read_features(args.query_features)
-        if qx.shape[0] > 0 and qx.shape[1] != model.arch.d:
-            raise ModelFeatureDimMismatch(
-                f"model expects {model.arch.d}-D features, file has {qx.shape[1]}-D"
-            )
-        qdb = encode_batch(model, qx)
+        qdb = encode_batch(read_model(args.model), read_features(args.query_features))
         queries = [(f"q{i}", qdb.code(i)) for i in range(len(qdb))]
     else:
         raise ValidationError("provide --query-id or --query-features")
@@ -231,15 +217,10 @@ def cmd_eval(args) -> int:
     qdb = read_codes(args.query_codes)
     _, query_labels = read_labels(args.query_labels)
     tax = read_taxonomy(args.taxonomy)
-    if len(db_labels) != len(db):
-        raise ShapeMismatch(f"{len(db_labels)} labels for {len(db)} database codes")
-    if len(query_labels) != len(qdb):
-        raise ShapeMismatch(f"{len(query_labels)} labels for {len(qdb)} query codes")
 
     ns = _int_list(args.ns, "--ns")
     _check_threads(args)
-    queries = [qdb.code(i) for i in range(len(qdb))]
-    report = eval_queries(db, db_labels, queries, query_labels, tax, mode=args.mode, ns=ns)
+    report = eval_queries(db, db_labels, qdb, query_labels, tax, mode=args.mode, ns=ns)
 
     prefix = str(args.out_prefix)
     write_csv(prefix + ".metrics.csv", ["query_id", "n", "metric", "value"],

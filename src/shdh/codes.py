@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodeTooShort, NonFiniteInput, ShapeMismatch
+from .errors import CodeTooShort, ModelFeatureDimMismatch, NonFiniteInput, ShapeMismatch
 from .hierarchy import layer_weights
 
 SCHEME_EFFECTIVE = "effective"
@@ -255,8 +255,10 @@ def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
     widths.
     """
     features = np.asarray(features)
-    if features.ndim != 2:
-        raise ShapeMismatch(f"expected n x d features, got shape {features.shape}")
+    if features.ndim != 2 or features.shape[1] != model.arch.d:
+        # checked here as well as in forward, which never runs on zero rows
+        raise ModelFeatureDimMismatch(
+            f"expected n x {model.arch.d} features, got shape {features.shape}")
     n = features.shape[0]
     packed = np.empty((n, model.layout.total_bytes), dtype=np.uint8)
     for start in range(0, n, ENCODE_BLOCK):

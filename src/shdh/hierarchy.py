@@ -138,7 +138,9 @@ class Taxonomy:
         return float(self.sim_by_depth[self.shared_depth(a, b)])
 
     def label_rows(self, labels) -> np.ndarray:
-        """Leaf chain-row indices for a sequence of labels."""
+        """Leaf chain-row indices for a sequence of labels: the one place
+        where a label string becomes a row. Raises UnknownLabel for the first
+        label, in input order, that is not a leaf."""
         return np.fromiter(
             (self._leaf_index(lab) for lab in labels), dtype=np.int64, count=len(labels)
         )
@@ -160,15 +162,15 @@ class Taxonomy:
             depths += alive
         return depths
 
-    def similarity_matrix(self, labels) -> np.ndarray:
-        """Dense pairwise hierarchical similarities for the given leaf labels."""
-        n = len(labels)
+    def similarity_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """Dense pairwise hierarchical similarities for an integer array of
+        leaf rows (see label_rows)."""
+        n = len(rows)
         if n > DEFAULT_MATRIX_CAP:
             raise SimilarityCapExceeded(
                 f"{n} items exceed the dense-matrix cap of {DEFAULT_MATRIX_CAP}; "
                 "compute per-batch similarities instead"
             )
-        rows = self.label_rows(labels)
         return self.sim_by_depth[self.shared_depths(rows[:, None], rows[None, :])]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import BinaryCode, CodeDatabase
+from .codes import CodeDatabase
 from .errors import EmptyInput, IdealMismatch, RankTooLarge, ShapeMismatch, ZeroTotalRelevance
 from .hierarchy import Taxonomy
 from .index import distance_keys
@@ -148,7 +148,7 @@ class MetricReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_labels,
+def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
                  tax: Taxonomy, mode: str = MODE_SHARED_LAYERS,
                  ns: list[int] = (100,)) -> MetricReport:
     """Rank the database once per query; score all four metrics at each n
@@ -162,14 +162,15 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
 
     Queries whose total relevance is zero are excluded from the Weighted
     Recall means (their WR cells are NaN) and from both curves; the
-    exclusion count is reported. Queries are identified by position.
+    exclusion count is reported. The queries are the rows of qdb, identified
+    by position.
     """
-    if len(queries) == 0:
-        raise EmptyInput("no queries to evaluate")
-    if len(queries) != len(query_labels):
-        raise ShapeMismatch(f"{len(queries)} queries but {len(query_labels)} labels")
     if len(db_labels) != len(db):
-        raise ShapeMismatch(f"{len(db_labels)} labels for {len(db)} database items")
+        raise ShapeMismatch(f"{len(db_labels)} labels for {len(db)} database codes")
+    if len(query_labels) != len(qdb):
+        raise ShapeMismatch(f"{len(query_labels)} labels for {len(qdb)} query codes")
+    if len(qdb) == 0:
+        raise EmptyInput("no queries to evaluate")
     rel_by_depth = _relevance_by_depth(tax, mode)
     ns = list(ns)
     for n in ns:
@@ -182,13 +183,13 @@ def eval_queries(db: CodeDatabase, db_labels, queries: list[BinaryCode], query_l
     leaf_count = np.bincount(db_rows, minlength=len(leaves))
     max_n = max(ns, default=0)
 
-    per_query = {m: np.full((len(queries), len(ns)), np.nan) for m in METRIC_NAMES}
+    per_query = {m: np.full((len(qdb), len(ns)), np.nan) for m in METRIC_NAMES}
     wr_excluded = kept = 0
     wr_n_sum = np.zeros(N)
     wr_level_sum = np.zeros(n_levels)
     seen_levels = np.zeros(n_levels, dtype=bool)
-    for qi, (q, q_row) in enumerate(zip(queries, tax.label_rows(query_labels))):
-        key = distance_keys(db, q)
+    for qi, q_row in enumerate(tax.label_rows(query_labels)):
+        key = distance_keys(db, qdb.code(qi))
         leaf_rel = rel_by_depth[tax.shared_depths(q_row, leaves)]
         rels = leaf_rel[db_rows[np.argsort(key, kind="stable")]]
         by_rel = np.argsort(-leaf_rel, kind="stable")

@@ -116,21 +116,18 @@ def _batch_scale(layout: SegmentLayout, m: int) -> float:
     return 1.0 / (layout.max_distance * m * m)
 
 
-def backprop_step(model: HashModel, X_batch: np.ndarray, labels_batch,
-                  tax: Taxonomy, config: TrainConfig, eta: float):
+def backprop_step(model: HashModel, X_batch: np.ndarray, S: np.ndarray,
+                  config: TrainConfig, eta: float):
     """One SGD update on a batch. Returns (updated model, (loss, fit, trace)).
 
-    The batch similarity matrix is built from the labels; the loss and its
-    gradient are the batch-normalized objective. The input model is not
-    mutated.
+    S is the batch's m x m similarity matrix (Taxonomy.similarity_matrix);
+    the loss and its gradient are the batch-normalized objective. The input
+    model is not mutated.
     """
     X = np.asarray(X_batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ShapeMismatch("batch must be a 2-D array with at least 2 rows")
     m = X.shape[0]
-    if len(labels_batch) != m:
-        raise ShapeMismatch(f"{len(labels_batch)} labels for {m} rows")
-    S = tax.similarity_matrix(labels_batch)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         (J, fit, trace), gW, gv = parameter_gradients(model, X, S, config.alpha * m)
     if not (np.isfinite(J) and all(np.isfinite(g).all() for g in gW + gv)):
@@ -155,14 +152,13 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
     their own dtype; backprop_step widens each batch to float64."""
     features = np.asarray(features)
     n = features.shape[0] if features.ndim == 2 else 0
-    if n < 2:
-        raise EmptyDataset(f"need at least 2 training items, got {n}")
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for {n} feature rows")
+    if n < 2:
+        raise EmptyDataset(f"need at least 2 training items, got {n}")
     if not np.isfinite(features).all():
         raise NonFiniteInput("training features contain NaN or infinity")
-    labels = list(labels)
-    tax.label_rows(labels)  # raises UnknownLabel for a label that is not a leaf
+    rows = tax.label_rows(labels)
 
     seed_init, seed_sample = np.random.SeedSequence(config.seed).spawn(2)
     model = init_model(arch, layout, seed_init)
@@ -173,9 +169,8 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
     for t in range(config.iters):
         eta = config.eta_at(t)
         idx = rng.choice(n, size=batch_size, replace=False)
-        batch_labels = [labels[i] for i in idx]
         model, (J, fit, trace) = backprop_step(
-            model, features[idx], batch_labels, tax, config, eta
+            model, features[idx], tax.similarity_matrix(rows[idx]), config, eta
         )
         log.append(TrainRecord(iteration=t, eta=eta, loss=J, fit=fit, trace=trace))
     return model, log

@@ -64,7 +64,7 @@ def test_criterion_2_similarity_suite():
         parent, leaves = random_taxonomy(rng, K, max_leaves=200)
         tax = Taxonomy(parent)
         labels = list(rng.choice(leaves, size=30))
-        S = tax.similarity_matrix(labels)
+        S = tax.similarity_matrix(tax.label_rows(labels))
         ok &= bool(np.array_equal(S, S.T))
         ok &= bool(np.all(np.diag(S) == 1.0))
         ok &= bool(np.all(S >= -1.0) and np.all(S <= 1.0))
@@ -176,15 +176,13 @@ def test_criterion_5_training_sanity():
 
     db = encode_batch(model, data.train_features)
     qdb = encode_batch(model, data.query_features)
-    queries = [qdb.code(i) for i in range(len(qdb))]
-    trained_report = eval_queries(db, data.train_labels, queries, data.query_labels,
+    trained_report = eval_queries(db, data.train_labels, qdb, data.query_labels,
                                   tax, mode="shared-layers", ns=[100])
 
     untrained = init_model(arch, layout, seed=1007)
     udb = encode_batch(untrained, data.train_features)
     uqdb = encode_batch(untrained, data.query_features)
-    uqueries = [uqdb.code(i) for i in range(len(uqdb))]
-    untrained_report = eval_queries(udb, data.train_labels, uqueries, data.query_labels,
+    untrained_report = eval_queries(udb, data.train_labels, uqdb, data.query_labels,
                                     tax, mode="shared-layers", ns=[100])
 
     margin = trained_report.mean("ndcg", 100) - untrained_report.mean("ndcg", 100)

@@ -1,4 +1,10 @@
+import re
+from pathlib import Path
+
 import shdh
+from shdh.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_export_resolves():
@@ -11,3 +17,20 @@ def test_star_import():
     namespace = {}
     exec("from shdh import *", namespace)
     assert set(shdh.__all__) <= set(namespace)
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the README's "Library use" examples, in order, on a small `shdh gen`
+    # set; only the iteration count is lowered
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    section = section[:section.index("\n## ")]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert blocks and "iters=200" in blocks[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out-dir", "data", "--n-train", "200", "--n-query", "5",
+                 "--seed", "3"]) == 0
+    namespace = {}
+    for block in blocks:
+        exec(block.replace("iters=200", "iters=2"), namespace)
+    assert namespace["report"].ns == [100] and len(namespace["curves"].wr_by_n) == 200

@@ -114,6 +114,20 @@ class TestTrain:
         assert rc == 3
         assert "CODE_TOO_SHORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [80, 1])
+    def test_one_label_too_many_exit_3(self, dataset, tmp_path, capsys, rows):
+        # train's own check; with one feature row it comes before the minimum size
+        features = tmp_path / "x.shdf"
+        write_features(features, read_features(dataset / "train.shdf")[:rows])
+        write_labels(tmp_path / "y.tsv", range(rows + 1), ["x"] * (rows + 1))
+        (tmp_path / "tax.tsv").write_text("root\ta\nroot\tb\na\tx\nb\tz\n")
+        rc = main(["train", "--features", str(features), "--labels", str(tmp_path / "y.tsv"),
+                   "--taxonomy", str(tmp_path / "tax.tsv"), "--bits", "16", "--hidden", "8",
+                   "--iters", "2", "--batch", "16", "--out", str(tmp_path / "m.shdm")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("SHAPE_MISMATCH: ")
+        assert not (tmp_path / "m.shdm").exists()
+
     def test_reproducible_byte_identical(self, dataset, tmp_path):
         args = lambda out: [
             "train",
@@ -201,6 +215,22 @@ class TestEncode:
         assert "MODEL_FEATURE_DIM_MISMATCH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, rows", [("encode", 0), ("query", 3), ("query", 0)])
+def test_feature_width_mismatch_exit_3(trained, tmp_path, capsys, command, rows):
+    # the one width check in encode_batch, for any number of rows
+    bad = tmp_path / "bad.shdf"
+    write_features(bad, np.zeros((rows, 5), np.float32))
+    model = ["--model", str(trained / "model.shdm")]
+    if command == "encode":
+        argv = ["encode", *model, "--features", str(bad), "--out", str(tmp_path / "o.shdc")]
+    else:
+        argv = ["query", "--codes", str(trained / "db.shdc"), *model,
+                "--query-features", str(bad), "--out", str(tmp_path / "o.tsv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("MODEL_FEATURE_DIM_MISMATCH: ")
+    assert not any(tmp_path.glob("o.*"))
+
+
 class TestQuery:
     def test_self_query_rank_one(self, trained, capsys):
         rc = main(["query", "--codes", str(trained / "db.shdc"),
@@ -265,6 +295,14 @@ class TestQuery:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 12 * 5
+
+    def test_query_id_and_query_features_exit_3(self, dataset, trained, capsys):
+        rc = main(["query", "--codes", str(trained / "db.shdc"), "--query-id", "3",
+                   "--model", str(trained / "model.shdm"),
+                   "--query-features", str(dataset / "query.shdf")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not both" in captured.err
 
     def test_unknown_query_id_exit_2(self, trained, capsys):
         rc = main(["query", "--codes", str(trained / "db.shdc"),
@@ -344,6 +382,15 @@ class TestEval:
         rc = self._eval(trained, tmp_path, ["x"] * 80, empty, [])
         assert rc == 2
         assert "EMPTY_INPUT" in capsys.readouterr().err
+        assert not (tmp_path / "eval.summary.json").exists()
+
+    @pytest.mark.parametrize("n_db, n_query", [(81, 12), (80, 11)])
+    def test_label_count_mismatch_exit_3(self, trained, tmp_path, capsys, n_db, n_query):
+        rc = self._eval(trained, tmp_path, ["x"] * n_db, trained / "q.shdc", ["z"] * n_query)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SHAPE_MISMATCH: ")
+        assert ("database" if n_db != 80 else "query") in err
         assert not (tmp_path / "eval.summary.json").exists()
 
     def test_undefined_mean_written_as_null(self, trained, tmp_path, capsys):

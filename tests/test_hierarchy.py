@@ -141,28 +141,48 @@ class TestSharedDepths:
                 assert tax.shared_depth(a, b) == _depth_brute(parent, K, a, b)
 
 
+class TestLabelRows:
+    @pytest.mark.parametrize("tax_name", ["toy3", "fig4"])
+    def test_matches_dict_lookup_oracle(self, request, tax_name):
+        tax = request.getfixturevalue(tax_name)
+        row_of = {leaf: i for i, leaf in enumerate(sorted(tax.leaves))}
+        rng = np.random.default_rng(41)
+        for size in (0, 1, 2, 17, 300):
+            labels = [str(x) for x in rng.choice(sorted(tax.leaves), size=size)]
+            rows = tax.label_rows(labels)
+            assert rows.dtype == np.int64
+            assert rows.tolist() == [row_of[lab] for lab in labels]
+
+    def test_unknown_label(self, toy3):
+        # the first unknown label in input order, not in sorted order
+        with pytest.raises(UnknownLabel) as exc:
+            toy3.label_rows(["rose", "lily", "sun", "daisy"])
+        assert exc.value.code == "UNKNOWN_LABEL"
+        assert "'lily'" in str(exc.value) and "daisy" not in str(exc.value)
+
+
+def _sim(tax, labels):
+    return tax.similarity_matrix(tax.label_rows(labels))
+
+
 class TestSimilarityMatrix:
     def test_identical_labels(self, toy3):
-        S = toy3.similarity_matrix(["rose", "rose"])
+        S = _sim(toy3, ["rose", "rose"])
         np.testing.assert_array_equal(S, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_opposite_pair(self, toy3):
-        S = toy3.similarity_matrix(["rose", "tiger"])
+        S = _sim(toy3, ["rose", "tiger"])
         np.testing.assert_array_equal(S, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_figure_triple(self, fig4):
-        S = fig4.similarity_matrix(["rose", "sunflower", "tiger"])
+        S = _sim(fig4, ["rose", "sunflower", "tiger"])
         assert S[0, 1] == pytest.approx(2 / 3, abs=1e-15)
         assert S[0, 2] == -1.0
         assert S[1, 2] == -1.0
 
-    def test_unknown_label(self, toy3):
-        with pytest.raises(UnknownLabel):
-            toy3.similarity_matrix(["rose", "daisy"])
-
     def test_cap(self, toy3):
         with pytest.raises(SimilarityCapExceeded):
-            toy3.similarity_matrix(["rose"] * (DEFAULT_MATRIX_CAP + 1))
+            toy3.similarity_matrix(np.zeros(DEFAULT_MATRIX_CAP + 1, dtype=np.int64))
 
     def test_exact_symmetry_unit_diagonal_and_brute_force(self):
         rng = np.random.default_rng(23)
@@ -171,7 +191,7 @@ class TestSimilarityMatrix:
             parent, leaves = random_taxonomy(rng, K, max_leaves=50)
             tax = Taxonomy(parent)
             labels = list(rng.choice(leaves, size=25))
-            S = tax.similarity_matrix(labels)
+            S = _sim(tax, labels)
             assert np.array_equal(S, S.T)
             assert np.all(np.diag(S) == 1.0)
             assert np.all(S >= -1.0) and np.all(S <= 1.0)
@@ -181,7 +201,7 @@ class TestSimilarityMatrix:
 
     def test_matches_hier_similarity_entrywise(self, fig4):
         labels = ["rose", "oak", "tiger", "sunflower", "rose"]
-        S = fig4.similarity_matrix(labels)
+        S = _sim(fig4, labels)
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
                 assert S[i, j] == fig4.hier_similarity(a, b)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import shdh.metrics
-from shdh.codes import BinaryCode, CodeDatabase, quantize, segment_layout
+from shdh.codes import CodeDatabase, quantize, segment_layout
 from shdh.errors import IdealMismatch, RankTooLarge, UnknownLabel, ZeroTotalRelevance
 from shdh.metrics import (
     acg_at,
@@ -190,7 +190,7 @@ class TestOracleAgreement:
         assert base == again
 
 
-def _two_item_db(layout, codes):
+def _db(layout, codes):
     packed = np.stack([c.packed for c in codes])
     return CodeDatabase(layout=layout, packed=packed)
 
@@ -200,8 +200,9 @@ class TestEvalQueries:
         layout = segment_layout(8, 3)
         self_code = quantize(np.full(8, 1.0), layout)
         far_code = quantize(np.full(8, -1.0), layout)
-        db = _two_item_db(layout, [self_code, far_code])
-        report = eval_queries(db, ["rose", "tiger"], [self_code], ["rose"], toy3, ns=[1, 2])
+        db = _db(layout, [self_code, far_code])
+        report = eval_queries(db, ["rose", "tiger"], _db(layout, [self_code]), ["rose"], toy3,
+                              ns=[1, 2])
         assert report.mean("ndcg", 2) == 1.0
         assert report.mean("acg", 1) == 2.0
 
@@ -212,24 +213,24 @@ class TestEvalQueries:
         packed = np.stack([quantize(rng.normal(size=8), layout).packed for _ in labels])
         db = CodeDatabase(layout=layout, packed=packed)
         q = quantize(rng.normal(size=8), layout)
-        report = eval_queries(db, labels, [q], ["rose"], toy3, ns=[10])
+        report = eval_queries(db, labels, _db(layout, [q]), ["rose"], toy3, ns=[10])
         assert report.per_query["ndcg"][0, 0] <= 1.0 + 1e-12
 
     def test_zero_relevance_excluded_from_wr(self, toy3):
         layout = segment_layout(8, 3)
         a = quantize(np.full(8, 1.0), layout)
-        db = _two_item_db(layout, [a, a])
+        db = _db(layout, [a, a])
         # query label shares nothing with db labels: zero total shared-layers
-        report = eval_queries(db, ["tiger", "oak"], [a], ["rose"], toy3, ns=[1])
+        report = eval_queries(db, ["tiger", "oak"], _db(layout, [a]), ["rose"], toy3, ns=[1])
         assert report.wr_excluded == 1
         assert np.isnan(report.per_query["weighted_recall"][0, 0])
 
     def test_rank_too_large(self, toy3):
         layout = segment_layout(8, 3)
         a = quantize(np.full(8, 1.0), layout)
-        db = _two_item_db(layout, [a, a])
+        db = _db(layout, [a, a])
         with pytest.raises(RankTooLarge):
-            eval_queries(db, ["rose", "sun"], [a], ["rose"], toy3, ns=[3])
+            eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=[3])
 
 
 def _fig4_case(seed, n_db=120, n_q=8):
@@ -239,11 +240,10 @@ def _fig4_case(seed, n_db=120, n_q=8):
     layout = segment_layout(12, 4, "paper-literal")  # 3-bit segments, padding, dead layer 1
     db = CodeDatabase(layout=layout, packed=random_codes(rng, layout, n_db))
     labels = [str(x) for x in rng.choice(["rose", "sunflower", "oak"], size=n_db)]
-    qpacked = random_codes(rng, layout, n_q)
-    queries = [BinaryCode(layout=layout, packed=qpacked[i]) for i in range(n_q)]
+    qdb = CodeDatabase(layout=layout, packed=random_codes(rng, layout, n_q))
     qlabels = ["tiger"] + [str(x) for x in rng.choice(["rose", "sunflower", "oak", "tiger"],
                                                       size=n_q - 1)]
-    return db, labels, queries, qlabels
+    return db, labels, qdb, qlabels
 
 
 def _oracle_ranking(db, labels, q, q_label, mode):
@@ -259,12 +259,12 @@ def _oracle_ranking(db, labels, q, q_label, mode):
 class TestSinglePassEval:
     @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
     def test_bit_identical_to_public_metrics(self, fig4, mode):
-        db, labels, queries, qlabels = _fig4_case(30)
+        db, labels, qdb, qlabels = _fig4_case(30)
         ns = [1, 5, 17, len(db)]
-        report = eval_queries(db, labels, queries, qlabels, fig4, mode=mode, ns=ns)
-        expected = {m: np.full((len(queries), len(ns)), np.nan) for m in report.per_query}
-        for qi, (q, ql) in enumerate(zip(queries, qlabels)):
-            rels, _ = _oracle_ranking(db, labels, q, ql, mode)
+        report = eval_queries(db, labels, qdb, qlabels, fig4, mode=mode, ns=ns)
+        expected = {m: np.full((len(qdb), len(ns)), np.nan) for m in report.per_query}
+        for qi, ql in enumerate(qlabels):
+            rels, _ = _oracle_ranking(db, labels, qdb.code(qi), ql, mode)
             ideal = np.sort(rels)[::-1]
             for ni, n in enumerate(ns):
                 expected["acg"][qi, ni] = acg_at(rels, n)
@@ -281,10 +281,11 @@ class TestSinglePassEval:
 
     @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
     def test_curves_from_oracle_rankings(self, fig4, mode):
-        db, labels, queries, qlabels = _fig4_case(31)
-        report = eval_queries(db, labels, queries, qlabels, fig4, mode=mode, ns=())
+        db, labels, qdb, qlabels = _fig4_case(31)
+        report = eval_queries(db, labels, qdb, qlabels, fig4, mode=mode, ns=())
         wr_n, radii, wr_r = report.wr_by_n, report.radii, report.wr_by_radius
-        kept = [_oracle_ranking(db, labels, q, ql, mode) for q, ql in zip(queries, qlabels)]
+        kept = [_oracle_ranking(db, labels, qdb.code(qi), ql, mode)
+                for qi, ql in enumerate(qlabels)]
         kept = [(rels, keys) for rels, keys in kept if rels.sum() != 0.0]
         levels = np.unique(np.concatenate([keys for _, keys in kept]))
         # the radius grid is exactly the distance levels observed
@@ -296,7 +297,7 @@ class TestSinglePassEval:
         np.testing.assert_allclose(wr_r, np.mean(within, axis=0), rtol=1e-12, atol=1e-12)
 
     def test_one_kernel_call_per_query(self, fig4, monkeypatch):
-        db, labels, queries, qlabels = _fig4_case(32)
+        db, labels, qdb, qlabels = _fig4_case(32)
         calls = []
         kernel = shdh.metrics.distance_keys
 
@@ -305,8 +306,8 @@ class TestSinglePassEval:
             return kernel(*args)
 
         monkeypatch.setattr(shdh.metrics, "distance_keys", counted)
-        report = eval_queries(db, labels, queries, qlabels, fig4, ns=[1, 10])
-        assert len(calls) == len(queries)
+        report = eval_queries(db, labels, qdb, qlabels, fig4, ns=[1, 10])
+        assert len(calls) == len(qdb)
         assert report.wr_by_n is not None and len(report.radii) == len(report.wr_by_radius)
 
 
@@ -317,9 +318,9 @@ class TestCurves:
         labels = ["rose", "sun", "tiger", "oak"] * 6
         packed = np.stack([quantize(rng.normal(size=16), layout).packed for _ in labels])
         db = CodeDatabase(layout=layout, packed=packed)
-        queries = [quantize(rng.normal(size=16), layout) for _ in range(4)]
+        qdb = _db(layout, [quantize(rng.normal(size=16), layout) for _ in range(4)])
         qlabels = ["rose", "sun", "oak", "tiger"]
-        report = eval_queries(db, labels, queries, qlabels, toy3, ns=())
+        report = eval_queries(db, labels, qdb, qlabels, toy3, ns=())
         wr_n, radii, wr_r = report.wr_by_n, report.radii, report.wr_by_radius
         assert len(wr_n) == len(db)
         assert np.all(np.diff(wr_n) >= -1e-12)

@@ -180,14 +180,13 @@ class TestBackpropStep:
         v = np.array([0.05, -0.1])
         model = HashModel(arch=arch, layout=layout, W=[W.copy()], v=[v.copy()])
         X = np.array([[1.0, 2.0], [-1.0, 0.5]])
-        labels = ["rose", "tiger"]
+        S = toy3.similarity_matrix(toy3.label_rows(["rose", "tiger"]))
         config = TrainConfig(iters=1, batch=2, alpha=1.0, seed=0)
         eta = 0.01
 
-        updated, (J, fit, trace) = backprop_step(model, X, labels, toy3, config, eta)
+        updated, (J, fit, trace) = backprop_step(model, X, S, config, eta)
 
         m = 2
-        S = toy3.similarity_matrix(labels)
         H = X @ W.T + v
         G = loss_terms(H, S, layout, alpha=1.0 * m)[1] / (layout.max_distance * m * m)
         np.testing.assert_allclose(updated.W[0], W - eta * (G.T @ X), rtol=1e-14)
@@ -199,11 +198,22 @@ class TestBackpropStep:
         arch = Architecture(d=3, hidden=(4,), L=4)
         model = init_model(arch, layout, seed=0)
         X = np.random.default_rng(1).normal(size=(4, 3))
-        labels = ["rose", "sun", "tiger", "oak"]
+        S = toy3.similarity_matrix(toy3.label_rows(["rose", "sun", "tiger", "oak"]))
         config = TrainConfig(iters=1, batch=4, seed=0)
-        updated, _ = backprop_step(model, X, labels, toy3, config, eta=0.0)
+        updated, _ = backprop_step(model, X, S, config, eta=0.0)
         for a, b in zip(model.W + model.v, updated.W + updated.v):
             np.testing.assert_array_equal(a, b)
+
+    def test_input_model_not_mutated(self, toy3):
+        layout = segment_layout(4, 2)
+        model = init_model(Architecture(d=3, hidden=(4,), L=4), layout, seed=0)
+        before = [a.copy() for a in model.W + model.v]
+        X = np.random.default_rng(2).normal(size=(4, 3))
+        S = toy3.similarity_matrix(toy3.label_rows(["rose", "sun", "tiger", "oak"]))
+        updated, _ = backprop_step(model, X, S, TrainConfig(iters=1, batch=4, seed=0), eta=0.5)
+        for a, b in zip(before, model.W + model.v):
+            assert a.tobytes() == b.tobytes()
+        assert any(not np.array_equal(a, b) for a, b in zip(before, updated.W + updated.v))
 
     def test_matched_pair_leaves_only_trace_gradient(self, toy3):
         # when H A H^T = L*S exactly, the fit residual vanishes and only the
@@ -220,7 +230,7 @@ class TestBackpropStep:
         model = init_model(Architecture(d=2, hidden=(), L=4), layout, seed=0)
         config = TrainConfig(iters=1, batch=2, seed=0)
         with pytest.raises(ShapeMismatch):
-            backprop_step(model, np.ones((1, 2)), ["rose"], toy3, config, 0.01)
+            backprop_step(model, np.ones((1, 2)), np.ones((1, 1)), config, 0.01)
 
     def test_nonfinite_batch_is_an_input_error(self, toy3):
         # a NaN feature is bad input, not a diverged model
@@ -229,7 +239,7 @@ class TestBackpropStep:
         config = TrainConfig(iters=1, batch=2, seed=0)
         X = np.array([[1.0, np.nan], [0.5, 2.0]])
         with pytest.raises(NonFiniteInput):
-            backprop_step(model, X, ["rose", "sun"], toy3, config, 0.01)
+            backprop_step(model, X, np.ones((2, 2)), config, 0.01)
 
     def test_nonfinite_gradient_signaled(self, toy3):
         layout = segment_layout(4, 2)
@@ -238,7 +248,7 @@ class TestBackpropStep:
                           W=[np.full((4, 2), 1e200)], v=[np.zeros(4)])
         config = TrainConfig(iters=1, batch=2, seed=0)
         with pytest.raises(NonFiniteGradient):
-            backprop_step(model, np.ones((2, 2)), ["rose", "sun"], toy3, config, 0.01)
+            backprop_step(model, np.ones((2, 2)), np.ones((2, 2)), config, 0.01)
 
 
 class TestTrain:
@@ -260,9 +270,8 @@ class TestTrain:
         expected = init_model(arch, layout, seed_init)
         rng = np.random.default_rng(seed_sample)
         idx = rng.choice(len(X), size=8, replace=False)
-        expected, stats = backprop_step(
-            expected, X[idx], [labels[i] for i in idx], toy3, config, config.eta_at(0)
-        )
+        S = toy3.similarity_matrix(toy3.label_rows([labels[i] for i in idx]))
+        expected, stats = backprop_step(expected, X[idx], S, config, config.eta_at(0))
         for a, b in zip(model.W + model.v, expected.W + expected.v):
             np.testing.assert_array_equal(a, b)
         assert len(log) == 1 and log[0].loss == stats[0]
@@ -342,10 +351,10 @@ class TestBatchObjective:
         layout = segment_layout(8, 3)
         model = init_model(Architecture(d=4, hidden=(5,), L=8), layout, seed=3)
         X = rng.normal(size=(6, 4))
-        labels = ["rose", "sun", "tiger", "oak", "rose", "tiger"]
+        S = toy3.similarity_matrix(
+            toy3.label_rows(["rose", "sun", "tiger", "oak", "rose", "tiger"]))
         config = TrainConfig(iters=1, batch=6, alpha=1.5, seed=0)
-        _, (J, fit, trace) = backprop_step(model, X, labels, toy3, config, eta=0.01)
-        S = toy3.similarity_matrix(labels)
+        _, (J, fit, trace) = backprop_step(model, X, S, config, eta=0.01)
         (raw_J, raw_fit, raw_trace), _ = loss_terms(forward(model, X)[0], S, layout,
                                                      alpha=1.5 * 6)
         scale = 1.0 / (layout.max_distance * 6 * 6)
