@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .codes import (
     Architecture,
-    BinaryCode,
     CodeDatabase,
     HashModel,
     SCHEME_EFFECTIVE,
@@ -45,7 +44,6 @@ from .train import (
 
 __all__ = [
     "Architecture",
-    "BinaryCode",
     "CodeDatabase",
     "HashModel",
     "MetricReport",

@@ -7,7 +7,8 @@ keeps only the K-1 segments for layers 2..K, since zero-weight bits are
 unconstrained by the objective and waste capacity.
 
 Packing: segment-major, each segment padded to whole bytes, LSB-first
-within a byte; logical +1 maps to bit 1 and -1 to bit 0.
+within a byte; logical +1 maps to bit 1 and -1 to bit 0. Only this module
+knows that format; a single code is a one-row `CodeDatabase`.
 """
 
 from __future__ import annotations
@@ -182,19 +183,6 @@ def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return activations[-1], activations
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryCode:
-    """One packed code; padding bits within each segment's bytes are zero."""
-
-    layout: SegmentLayout
-    packed: np.ndarray  # uint8, length layout.total_bytes
-
-    def unpack(self) -> np.ndarray:
-        """Logical +/-1 vector of length L."""
-        bits = unpack_bits(self.layout, self.packed[None, :])[0]
-        return (bits.astype(np.int8) * 2 - 1)
-
-
 def pack_bits(layout: SegmentLayout, bits: np.ndarray) -> np.ndarray:
     """Pack an (n x L) 0/1 matrix into (n x total_bytes), segment-major."""
     blocks = []
@@ -213,19 +201,6 @@ def unpack_bits(layout: SegmentLayout, packed: np.ndarray) -> np.ndarray:
     return np.hstack(cols)
 
 
-def quantize(relaxed: np.ndarray, layout: SegmentLayout) -> BinaryCode:
-    """sgn with sgn(0) = -1: bit 1 where the value is strictly positive."""
-    relaxed = np.asarray(relaxed, dtype=np.float64)
-    if relaxed.shape != (layout.L,):
-        raise ShapeMismatch(f"expected {layout.L} values, got shape {relaxed.shape}")
-    if not np.isfinite(relaxed).all():
-        raise NonFiniteInput("relaxed code contains NaN or infinity")
-    bits = (relaxed > 0).astype(np.uint8)
-    packed = pack_bits(layout, bits[None, :])[0]
-    packed.setflags(write=False)
-    return BinaryCode(layout=layout, packed=packed)
-
-
 @dataclass(eq=False)
 class CodeDatabase:
     """Packed binary codes for n items, in insertion order."""
@@ -234,16 +209,36 @@ class CodeDatabase:
     packed: np.ndarray          # uint8, n x total_bytes; an item's id is its row
 
     def __post_init__(self):
-        if self.packed.ndim != 2 or self.packed.shape[1] != self.layout.total_bytes:
-            raise ShapeMismatch(
-                f"packed codes must be n x {self.layout.total_bytes}, got {self.packed.shape}"
-            )
+        if (self.packed.dtype != np.uint8 or self.packed.ndim != 2
+                or self.packed.shape[1] != self.layout.total_bytes):
+            raise ShapeMismatch(f"packed codes must be uint8, n x {self.layout.total_bytes}; "
+                                f"got {self.packed.dtype}, {self.packed.shape}")
 
     def __len__(self) -> int:
         return self.packed.shape[0]
 
-    def code(self, i: int) -> BinaryCode:
-        return BinaryCode(layout=self.layout, packed=self.packed[i])
+    def code(self, i: int) -> CodeDatabase:
+        """Row i as a one-row database (a view)."""
+        i = range(len(self))[i]  # negative rows count from the end, as in a list
+        return CodeDatabase(layout=self.layout, packed=self.packed[i:i + 1])
+
+
+def segment_masks(layout: SegmentLayout) -> np.ndarray:
+    """Where each segment's bits sit in a packed row: row s is pack_bits of
+    segment s's bit indicator, so padding bits are 0 in every row."""
+    segment_of_bit = np.repeat(np.arange(len(layout.segments)), layout.widths)
+    return pack_bits(layout, segment_of_bit == np.arange(len(layout.segments))[:, None])
+
+
+def quantize(relaxed: np.ndarray, layout: SegmentLayout) -> CodeDatabase:
+    """Pack an n x L batch with sgn(0) = -1: bit 1 where the value is
+    strictly positive."""
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    if relaxed.ndim != 2 or relaxed.shape[1] != layout.L:
+        raise ShapeMismatch(f"expected n x {layout.L} values, got shape {relaxed.shape}")
+    if not np.isfinite(relaxed).all():
+        raise NonFiniteInput("relaxed code contains NaN or infinity")
+    return CodeDatabase(layout=layout, packed=pack_bits(layout, relaxed > 0))
 
 
 def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
@@ -263,6 +258,8 @@ def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
     packed = np.empty((n, model.layout.total_bytes), dtype=np.uint8)
     for start in range(0, n, ENCODE_BLOCK):
         rows = slice(start, start + ENCODE_BLOCK)
+        # `_` holds this block's activations until the next block's exist; freed
+        # at once, their pages go back to the OS and fault in again each block
         relaxed, _ = forward(model, features[rows])
-        packed[rows] = pack_bits(model.layout, relaxed > 0)
+        packed[rows] = quantize(relaxed, model.layout).packed
     return CodeDatabase(layout=model.layout, packed=packed)

@@ -8,9 +8,10 @@ D_w = key / (K(K-1)/2). Ranking sorts keys, so equal distances tie exactly
 and break by insertion order; reported distances are one division of the
 key, so equal keys print equal floats.
 
-The kernel views each packed row as whole unsigned words, XORs it with the
-query, and sums popcount(word & segment mask) * weight over precomputed
-terms. Masks drop padding bits; zero-weight segments have no term.
+A query is a one-row CodeDatabase. The kernel views each packed row as
+whole unsigned words, XORs it with the query, and sums popcount(word & mask)
+* weight over precomputed terms. The masks are `codes.segment_masks` as
+words, so they drop padding bits; zero-weight segments have no term.
 
 Larger weighted inner product (the similarity reading of the same segment
 counts) means more similar; ranking ascending by distance equals ranking
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BinaryCode, CodeDatabase, SegmentLayout, unpack_bits
-from .errors import EmptyDatabase, LayoutMismatch
+from .codes import CodeDatabase, SegmentLayout, segment_masks, unpack_bits
+from .errors import EmptyDatabase, LayoutMismatch, ShapeMismatch
 
 
 @dataclass(eq=False)
@@ -55,25 +56,18 @@ class _Kernel:
 def _kernel(layout: SegmentLayout) -> _Kernel:
     size = next(s for s in (8, 4, 2, 1) if layout.total_bytes % s == 0)
     word = np.dtype(f"u{size}")
-    masks = {}  # (word column, weight) -> bits of that word in segments of that weight
-    for seg in layout.segments:
-        weight = layout.key_weight(seg.layer)
-        if weight == 0:
-            continue
-        row = np.zeros(layout.total_bytes, dtype=np.uint8)
-        row[seg.byte_offset:seg.byte_offset + seg.n_bytes] = np.packbits(
-            np.ones(seg.width, dtype=np.uint8), bitorder="little")
-        for col, mask in enumerate(row.view(word)):
-            if mask:
-                masks[col, weight] = masks.get((col, weight), word.type(0)) | mask
     key_dtype = np.uint16 if layout.max_key <= np.iinfo(np.uint16).max else np.uint32
-    terms = tuple((col, mask, key_dtype(w)) for (col, w), mask in sorted(masks.items()))
+    # one term per word a segment touches; zero-weight segments have none
+    terms = tuple(sorted((col, mask, key_dtype(layout.key_weight(seg.layer)))
+                         for seg, row in zip(layout.segments, segment_masks(layout))
+                         for col, mask in enumerate(row.view(word))
+                         if mask and layout.key_weight(seg.layer)))
     return _Kernel(word=word, terms=terms, key_dtype=key_dtype)
 
 
-def distance_keys(db: CodeDatabase, q: BinaryCode) -> np.ndarray:
+def distance_keys(db: CodeDatabase, q: CodeDatabase) -> np.ndarray:
     """Exact integer key sum_k (K+1-k) * ham_k of every database row to q."""
-    _require_same_layout(q.layout, db.layout)
+    _require_query(db.layout, q)
     kernel = _kernel(db.layout)
     # a view of the rows as words, not a copy, when the database is contiguous
     x = (np.ascontiguousarray(db.packed).view(kernel.word)
@@ -105,15 +99,17 @@ def radius_key_bound(layout: SegmentLayout, r: float) -> int:
     return bound
 
 
-def _require_same_layout(a: SegmentLayout, b: SegmentLayout):
-    if a != b:
+def _require_query(layout: SegmentLayout, q: CodeDatabase):
+    """q is one code of `layout`: a one-row database built with it."""
+    if q.layout != layout:
         raise LayoutMismatch("codes were built with different segment layouts")
+    if len(q) != 1:
+        raise ShapeMismatch(f"a query is one code, got {len(q)} rows")
 
 
-def _require_searchable(db: CodeDatabase, q: BinaryCode):
+def _require_nonempty(db: CodeDatabase):
     if len(db) == 0:
         raise EmptyDatabase("cannot search an empty code database")
-    _require_same_layout(q.layout, db.layout)
 
 
 def _take(db: CodeDatabase, key: np.ndarray, order: np.ndarray) -> SearchResult:
@@ -126,26 +122,26 @@ def _take(db: CodeDatabase, key: np.ndarray, order: np.ndarray) -> SearchResult:
     )
 
 
-def weighted_distance(a: BinaryCode, b: BinaryCode) -> float:
-    """D_w between two codes; 0 iff all nonzero-weight segments agree."""
-    key = distance_keys(CodeDatabase(layout=b.layout, packed=b.packed[None, :]), a)
-    return float(key[0]) / a.layout.key_scale
+def weighted_distance(a: CodeDatabase, b: CodeDatabase) -> float:
+    """D_w between two one-row databases; 0 iff all nonzero-weight segments agree."""
+    _require_query(a.layout, b)
+    return float(distance_keys(b, a)[0]) / a.layout.key_scale
 
 
-def search_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
+def search_topn(db: CodeDatabase, q: CodeDatabase, n: int) -> SearchResult:
     """The n nearest codes by D_w (all items if n > |db|)."""
-    _require_searchable(db, q)
+    _require_nonempty(db)
     if n < 1:
         raise ValueError("n must be >= 1")
     key = distance_keys(db, q)
     return _take(db, key, _topn_rows(key, n))
 
 
-def search_radius(db: CodeDatabase, q: BinaryCode, r: float) -> SearchResult:
+def search_radius(db: CodeDatabase, q: CodeDatabase, r: float) -> SearchResult:
     """All codes with reported D_w <= r, ascending, ties by insertion order.
 
     The bound is an integer key, so a distance level is never split."""
-    _require_searchable(db, q)
+    _require_nonempty(db)
     if r < 0:
         raise ValueError("radius must be >= 0")
     key = distance_keys(db, q)
@@ -153,19 +149,20 @@ def search_radius(db: CodeDatabase, q: BinaryCode, r: float) -> SearchResult:
     return _take(db, key, within[np.argsort(key[within], kind="stable")])
 
 
-def brute_force_topn(db: CodeDatabase, q: BinaryCode, n: int) -> SearchResult:
+def brute_force_topn(db: CodeDatabase, q: CodeDatabase, n: int) -> SearchResult:
     """Oracle twin of search_topn: per-bit comparison of unpacked codes and
     exact integer distances, with no words, masks or popcounts.
 
     D_w = sum_k u_k * ham_k with u_k = 2(K+1-k) / (K(K-1)), u_1 = 0, is kept
     as the integer numerator over the common denominator K(K-1).
     """
-    _require_searchable(db, q)
+    _require_nonempty(db)
+    _require_query(db.layout, q)
     if n < 1:
         raise ValueError("n must be >= 1")
     layout = db.layout
     K = layout.K
-    mismatch = unpack_bits(layout, db.packed) != unpack_bits(layout, q.packed[None, :])
+    mismatch = unpack_bits(layout, db.packed) != unpack_bits(layout, q.packed)
     dist_num = np.zeros(len(db), dtype=np.int64)
     inner_num = np.zeros(len(db), dtype=np.int64)
     for seg in layout.segments:

@@ -12,8 +12,9 @@ Binary formats, all integers little-endian:
   layout block (L u16, K u8, scheme u8, widths u16 each).
 
 Every writer goes through a temp file plus rename, so interrupted runs
-never leave truncated artifacts. Readers reject bytes after the payload
-and, in SHDC, nonzero padding bits.
+never leave truncated artifacts. Readers reject bytes after the payload,
+layout headers that describe no layout, model layers that do not chain, and,
+in SHDC, nonzero padding bits: any bit outside `codes.segment_masks`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .codes import (
     SCHEME_PAPER_LITERAL,
     SegmentLayout,
     segment_layout,
+    segment_masks,
 )
-from .errors import FileFormatError, FileNotFound, ShapeMismatch
+from .errors import CodeTooShort, FileFormatError, FileNotFound, HeightTooSmall, ShapeMismatch
 from .hierarchy import Taxonomy, parse_taxonomy
 from .train import TrainRecord
 
@@ -154,8 +156,10 @@ def _read_layout_block(f, path) -> SegmentLayout:
     L, K, scheme_byte = _read_struct(f, "<HBB", "layout header")
     if scheme_byte not in _BYTE_SCHEME:
         raise FileFormatError(f"{path}: unknown scheme byte {scheme_byte}")
-    scheme = _BYTE_SCHEME[scheme_byte]
-    layout = segment_layout(L, K, scheme)
+    try:
+        layout = segment_layout(L, K, _BYTE_SCHEME[scheme_byte])
+    except (HeightTooSmall, CodeTooShort) as exc:
+        raise FileFormatError(f"{path}: layout header L={L}, K={K}: {exc}") from None
     widths = tuple(_read_struct(f, "<H", "segment width")[0] for _ in layout.widths)
     if widths != layout.widths:
         raise FileFormatError(f"{path}: segment widths {widths} do not match {layout.widths}")
@@ -180,12 +184,10 @@ def read_codes(path) -> CodeDatabase:
         (n,) = _read_struct(f, "<Q", "code count")
         packed = _read_payload(f, path, (n, layout.total_bytes), "u1", "packed codes")
         _check_end(f, path)
-    # a segment's last byte holds its final width % 8 bits, LSB-first; the
-    # bits above them are padding and must be zero
-    bad = np.zeros(n, dtype=bool)
-    for seg in layout.segments:
-        if seg.width % 8:
-            bad |= (packed[:, seg.byte_offset + seg.n_bytes - 1] >> seg.width % 8) != 0
+    # padding is every bit outside the segment masks; only bytes that hold some are read
+    pad = ~np.bitwise_or.reduce(segment_masks(layout))
+    cols = np.flatnonzero(pad)
+    bad = (packed[:, cols] & pad[cols]).any(axis=1)
     if bad.any():
         raise FileFormatError(f"{path}: code row {int(bad.argmax())} has nonzero padding bits")
     return CodeDatabase(layout=layout, packed=packed)
@@ -220,6 +222,8 @@ def read_model(path) -> HashModel:
         raise FileFormatError(f"{path}: model has no layers")
     arch = Architecture(d=W[0].shape[1], hidden=tuple(w.shape[0] for w in W[:-1]),
                         L=W[-1].shape[0])
+    if [w.shape for w in W] != arch.layer_dims:
+        raise FileFormatError(f"{path}: layer shapes {[w.shape for w in W]} do not chain")
     if arch.L != layout.L:
         raise FileFormatError(f"{path}: hashing layer width {arch.L} != layout {layout.L}")
     return HashModel(arch=arch, layout=layout, W=W, v=v)

@@ -65,3 +65,33 @@ OVERSIZED_HEADERS = {
 def write_oversized(path, fmt):
     path.write_bytes(OVERSIZED_HEADERS[fmt] + bytes(1024))
     return path
+
+
+def write_layout_header(path, fmt, L, K):
+    """A valid "codes" or "model" artifact (16 bits, K=3) whose layout header
+    is rewritten to claim L bits and height K."""
+    from shdh.codes import Architecture, CodeDatabase, init_model, segment_layout
+    from shdh.io import write_codes, write_model
+
+    layout = segment_layout(16, 3)  # widths (8, 8): a 4-byte header, then 4 bytes of widths
+    if fmt == "codes":
+        write_codes(path, CodeDatabase(layout=layout, packed=np.zeros((2, 2), np.uint8)))
+        at = 6  # after the magic and the version
+    else:
+        write_model(path, init_model(Architecture(d=4, hidden=(), L=16), layout, seed=0))
+        at = path.stat().st_size - 8  # the layout block ends the file
+    data = bytearray(path.read_bytes())
+    data[at:at + 4] = struct.pack("<HBB", L, K, 0)
+    path.write_bytes(bytes(data))
+    return path
+
+
+def write_unchained_model(path):
+    """A model whose second layer takes 12 inputs while the first gives 16."""
+    from shdh.codes import Architecture, HashModel, segment_layout
+    from shdh.io import write_model
+
+    W = [np.zeros((16, 8)), np.zeros((16, 12))]
+    write_model(path, HashModel(arch=Architecture(d=8, hidden=(16,), L=16),
+                                layout=segment_layout(16, 3), W=W, v=[np.zeros(16)] * 2))
+    return path

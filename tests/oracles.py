@@ -98,6 +98,18 @@ def forward_rows_brute(W, v, X) -> np.ndarray:
     return out
 
 
+def signs(code) -> np.ndarray:
+    """Logical +/-1 vector of a one-row code database, read bit by bit from
+    the packing (segment-major, each segment padded to whole bytes,
+    LSB-first within a byte) without the library's unpacking."""
+    (row,) = code.packed
+    out, byte = [], 0
+    for width in code.layout.widths:
+        out += [1 if row[byte + j // 8] >> (j % 8) & 1 else -1 for j in range(width)]
+        byte += (width + 7) // 8
+    return np.array(out, dtype=np.int8)
+
+
 # --- training ------------------------------------------------------------------
 
 def finite_diff_gradient(Htilde, S, layout, alpha: float, eps: float = 1e-4) -> np.ndarray:

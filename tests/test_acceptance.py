@@ -8,7 +8,6 @@ import numpy as np
 from shdh.cli import main as cli_main
 from shdh.codes import (
     Architecture,
-    BinaryCode,
     CodeDatabase,
     encode_batch,
     init_model,
@@ -31,6 +30,7 @@ from oracles import (
     hier_similarity_brute,
     ndcg_brute,
     random_taxonomy,
+    signs,
     weighted_recall_brute,
 )
 
@@ -144,9 +144,9 @@ def test_criterion_4_index_oracle_equivalence():
             bits = rng.integers(0, 2, size=(1000, L), dtype=np.uint8)
             db = CodeDatabase(layout=layout, packed=pack_bits(layout, bits))
             qbits = rng.integers(0, 2, size=(100, L), dtype=np.uint8)
-            qpacked = pack_bits(layout, qbits)
+            qdb = CodeDatabase(layout=layout, packed=pack_bits(layout, qbits))
             for qi in range(100):
-                q = BinaryCode(layout=layout, packed=qpacked[qi])
+                q = qdb.code(qi)
                 fast = search_topn(db, q, 1000)
                 slow = brute_force_topn(db, q, 1000)
                 ok &= fast.ids == slow.ids
@@ -233,14 +233,14 @@ def test_criterion_7_quantization_packing():
     ok = True
     for L in (8, 31, 32, 33, 48, 64, 128):
         layout = segment_layout(L, 3)
-        zeros = quantize(np.zeros(L), layout)
-        ok &= bool(np.all(zeros.unpack() == -1))  # sgn(0) = -1
+        zeros = quantize(np.zeros((1, L)), layout)
+        ok &= bool(np.all(signs(zeros) == -1))  # sgn(0) = -1
         bits = rng.integers(0, 2, size=(64, L), dtype=np.uint8)
         packed = pack_bits(layout, bits)
         ok &= bool(np.array_equal(unpack_bits(layout, packed), bits))
         x = rng.normal(size=L)
-        code = quantize(x, layout)
-        ok &= bool(np.array_equal(code.unpack() == 1, x > 0))
+        code = quantize(x[None, :], layout)
+        ok &= bool(np.array_equal(signs(code) == 1, x > 0))
     report("criterion 7: sgn(0) = -1 and pack/unpack round-trip "
            "(L in {8,31,32,33,48,64,128})", ok, t0, 1.0)
 

@@ -12,9 +12,10 @@ from shdh.io import (
     write_codes,
     write_features,
     write_labels,
+    write_model,
 )
 
-from conftest import random_codes, write_oversized
+from conftest import random_codes, write_layout_header, write_oversized, write_unchained_model
 
 K4_TAXONOMY = (
     "root\ta\nroot\tb\n"
@@ -213,6 +214,26 @@ class TestEncode:
                    "--features", str(bad), "--out", str(tmp_path / "o.shdc")])
         assert rc == 3
         assert "MODEL_FEATURE_DIM_MISMATCH" in capsys.readouterr().err
+
+
+    def test_nan_weight_exit_4(self, dataset, trained, tmp_path, capsys):
+        model = read_model(trained / "model.shdm")
+        model.W[0][0, 0] = np.nan
+        write_model(tmp_path / "nan.shdm", model)
+        rc = main(["encode", "--model", str(tmp_path / "nan.shdm"),
+                   "--features", str(dataset / "train.shdf"), "--out", str(tmp_path / "o.shdc")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("NON_FINITE_INPUT: ")
+        assert not any(tmp_path.glob("o.*"))
+
+    def test_layers_that_do_not_chain_exit_2(self, dataset, tmp_path, capsys):
+        model = write_unchained_model(tmp_path / "m.shdm")
+        for argv in (["encode", "--model", str(model), "--features", str(dataset / "train.shdf"),
+                      "--out", str(tmp_path / "o.shdc")],
+                     ["inspect", str(model)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("BAD_FILE_FORMAT: ") and "do not chain" in err
 
 
 @pytest.mark.parametrize("command, rows", [("encode", 0), ("query", 3), ("query", 0)])
@@ -459,6 +480,15 @@ def test_nonzero_padding_bits_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("BAD_FILE_FORMAT: ") and "row 3" in err
+
+
+@pytest.mark.parametrize("fmt", ["codes", "model"])
+@pytest.mark.parametrize("L, K", [(16, 1), (2, 4)])
+def test_impossible_layout_header_exit_2(tmp_path, capsys, fmt, L, K):
+    path = write_layout_header(tmp_path / "artifact", fmt, L, K)
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"BAD_FILE_FORMAT: {path}: layout header L={L}, K={K}")
 
 
 @pytest.mark.parametrize("fmt", ["features", "codes", "model"])

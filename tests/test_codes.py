@@ -9,7 +9,6 @@ import shdh
 from shdh.codes import (
     ENCODE_BLOCK,
     Architecture,
-    BinaryCode,
     CodeDatabase,
     HashModel,
     encode_batch,
@@ -18,6 +17,7 @@ from shdh.codes import (
     pack_bits,
     quantize,
     segment_layout,
+    segment_masks,
     unpack_bits,
 )
 from shdh.errors import CodeTooShort, HeightTooSmall, NonFiniteInput, ShapeMismatch
@@ -25,7 +25,7 @@ from shdh.hierarchy import layer_weights
 from shdh.index import distance_keys
 
 from conftest import make_layout
-from oracles import forward_rows_brute
+from oracles import forward_rows_brute, signs
 
 
 class TestSegmentLayout:
@@ -75,7 +75,7 @@ class TestSegmentLayout:
         assert layout.segments[1].byte_offset == 2
         assert layout.total_bytes == 4
         # every byte scores its valid bits only: 8, 7 (one padding bit), 8, 8
-        q = BinaryCode(layout=layout, packed=np.zeros(4, np.uint8))
+        q = CodeDatabase(layout=layout, packed=np.zeros((1, 4), np.uint8))
         rows = np.diag(np.full(4, 0xFF, np.uint8))
         keys = distance_keys(CodeDatabase(layout=layout, packed=rows), q)
         np.testing.assert_array_equal(keys, [8 * 2, 7 * 2, 8 * 1, 8 * 1])
@@ -182,35 +182,43 @@ class TestForward:
 class TestQuantize:
     def test_hand_packed_byte(self):
         layout = make_layout([4], [2], K=2)
-        code = quantize(np.array([0.2, -0.1, 0.0, 3.0]), layout)
-        np.testing.assert_array_equal(code.unpack(), [1, -1, -1, 1])
-        assert code.packed[0] == 0b0000_1001
+        code = quantize(np.array([[0.2, -0.1, 0.0, 3.0]]), layout)
+        np.testing.assert_array_equal(signs(code), [1, -1, -1, 1])
+        assert code.packed[0, 0] == 0b0000_1001
 
     def test_all_positive(self):
         layout = segment_layout(16, 3)
-        code = quantize(np.full(16, 0.5), layout)
-        assert np.all(code.unpack() == 1)
+        code = quantize(np.full((1, 16), 0.5), layout)
+        assert np.all(signs(code) == 1)
 
     def test_zeros_quantize_negative(self):
         layout = segment_layout(16, 3)
-        code = quantize(np.zeros(16), layout)
-        assert np.all(code.unpack() == -1)
+        code = quantize(np.zeros((1, 16)), layout)
+        assert np.all(signs(code) == -1)
         assert np.all(code.packed == 0)
 
     def test_negation_flips_all_bits(self):
         rng = np.random.default_rng(8)
         layout = segment_layout(24, 4)
         for _ in range(20):
-            x = rng.normal(size=24)
+            x = rng.normal(size=(1, 24))
             x[x == 0.0] = 0.5  # no exact zeros
-            a = quantize(x, layout).unpack()
-            b = quantize(-x, layout).unpack()
+            a = signs(quantize(x, layout))
+            b = signs(quantize(-x, layout))
             np.testing.assert_array_equal(a, -b)
+
+    def test_batch_only(self):
+        layout = segment_layout(8, 3)
+        with pytest.raises(ShapeMismatch):
+            quantize(np.ones(8), layout)
+        with pytest.raises(ShapeMismatch):
+            quantize(np.ones((2, 7)), layout)
+        assert len(quantize(np.ones((0, 8)), layout)) == 0
 
     def test_nonfinite(self):
         layout = segment_layout(8, 3)
         with pytest.raises(NonFiniteInput):
-            quantize(np.array([np.inf] + [0.0] * 7), layout)
+            quantize(np.array([[np.inf] + [0.0] * 7]), layout)
 
 
 class TestPackRoundTrip:
@@ -235,6 +243,44 @@ class TestPackRoundTrip:
         assert np.all(packed[:, 1] == 0b0111_1111)
 
 
+class TestSegmentMasks:
+    def test_paper_literal_12_bit_segments(self):
+        # four 12-bit segments of 2 bytes each: 8 bits, then 4 bits and 4 padding bits
+        layout = segment_layout(48, 4, "paper-literal")
+        expected = np.zeros((4, 8), np.uint8)
+        for s in range(4):
+            expected[s, 2 * s:2 * s + 2] = [0xFF, 0x0F]
+        np.testing.assert_array_equal(segment_masks(layout), expected)
+
+    @pytest.mark.parametrize("L, K, scheme", [(21, 3, "effective"), (33, 4, "effective"),
+                                              (64, 5, "effective"), (20, 4, "paper-literal")])
+    def test_disjoint_and_cover_every_bit(self, L, K, scheme):
+        layout = segment_layout(L, K, scheme)
+        masks = segment_masks(layout)
+        assert masks.shape == (len(layout.segments), layout.total_bytes)
+        overlap = (masks[:, None] & masks[None, :]).any(axis=-1)
+        np.testing.assert_array_equal(overlap, np.eye(len(masks), dtype=bool))
+        everything = pack_bits(layout, np.ones((1, L), np.uint8))[0]
+        np.testing.assert_array_equal(np.bitwise_or.reduce(masks), everything)
+
+
+class TestCodeDatabase:
+    def test_rejects_other_dtypes(self):
+        layout = segment_layout(16, 3)
+        for dtype in (np.int64, np.int8, np.uint16):
+            with pytest.raises(ShapeMismatch):
+                CodeDatabase(layout=layout, packed=np.zeros((3, 2), dtype))
+
+    def test_code_is_a_one_row_view(self):
+        layout = segment_layout(16, 3)
+        db = CodeDatabase(layout=layout, packed=np.arange(10, dtype=np.uint8).reshape(5, 2))
+        np.testing.assert_array_equal(db.code(3).packed, [[6, 7]])
+        np.testing.assert_array_equal(db.code(-1).packed, [[8, 9]])
+        assert db.code(0).layout == layout and np.shares_memory(db.code(0).packed, db.packed)
+        with pytest.raises(IndexError):
+            db.code(5)
+
+
 class TestEncodeBatch:
     def test_empty(self):
         layout = segment_layout(16, 3)
@@ -248,7 +294,7 @@ class TestEncodeBatch:
         x = np.random.default_rng(2).normal(size=(1, 4))
         db = encode_batch(model, x)
         relaxed, _ = forward(model, x)
-        np.testing.assert_array_equal(db.packed[0], quantize(relaxed[0], layout).packed)
+        np.testing.assert_array_equal(db.packed, quantize(relaxed, layout).packed)
 
     def test_permutation_equivariance(self):
         layout = segment_layout(16, 3)

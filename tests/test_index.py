@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shdh.codes import BinaryCode, CodeDatabase, quantize, segment_layout, unpack_bits
-from shdh.errors import EmptyDatabase, LayoutMismatch
+from shdh.codes import CodeDatabase, quantize, segment_layout, unpack_bits
+from shdh.errors import EmptyDatabase, LayoutMismatch, ShapeMismatch
 from shdh.index import (
     brute_force_topn,
     distance_keys,
@@ -15,10 +15,11 @@ from shdh.index import (
 )
 
 from conftest import random_codes
+from oracles import signs
 
 
-def code_from_signs(layout, signs):
-    return quantize(np.asarray(signs, dtype=np.float64), layout)
+def code_from_signs(layout, values):
+    return quantize(np.asarray(values, dtype=np.float64)[None, :], layout)
 
 
 @pytest.fixture
@@ -39,8 +40,7 @@ class TestWeightedDistance:
         d = weighted_distance(a, b)
         assert d == pytest.approx(2 / 3 + 2 / 3, rel=1e-15)
         # the matching weighted inner product: 2/3*(2-2*1) + 1/3*(2-2*2)
-        db = CodeDatabase(layout=hand_layout, packed=b.packed[None, :])
-        res = search_topn(db, a, 1)
+        res = search_topn(b, a, 1)
         assert res.inner_products[0] == pytest.approx(-2 / 3, rel=1e-12)
 
     def test_complement_is_max(self, hand_layout):
@@ -65,7 +65,7 @@ class TestWeightedDistance:
         rng = np.random.default_rng(31)
         layout = segment_layout(24, 4)
         packed = random_codes(rng, layout, 30)
-        codes = [BinaryCode(layout=layout, packed=packed[i]) for i in range(30)]
+        codes = [CodeDatabase(layout=layout, packed=packed[i:i + 1]) for i in range(30)]
         for _ in range(100):
             i, j, k = rng.integers(0, 30, size=3)
             dij = weighted_distance(codes[i], codes[j])
@@ -79,7 +79,7 @@ class TestWeightedDistance:
 
 def exact_keys(layout, packed, q_packed):
     """Integer keys sum_k (K+1-k) * ham_k from unpacked bits, segment by segment."""
-    mismatch = unpack_bits(layout, packed) != unpack_bits(layout, q_packed[None, :])
+    mismatch = unpack_bits(layout, packed) != unpack_bits(layout, q_packed)
     key = np.zeros(len(packed), dtype=np.int64)
     for seg in layout.segments:
         weight = 0 if seg.layer == 1 else layout.K + 1 - seg.layer
@@ -103,7 +103,7 @@ class TestDistanceKeys:
         q = code_from_signs(hand_layout, [1, 1, 1, 1])
         rows = [code_from_signs(hand_layout, s).packed
                 for s in ([-1, -1, 1, 1], [1, 1, -1, -1], [-1, 1, 1, -1])]
-        db = CodeDatabase(layout=hand_layout, packed=np.stack(rows))
+        db = CodeDatabase(layout=hand_layout, packed=np.vstack(rows))
         # integer weights K+1-k = (2, 1); D_w = key / 3
         np.testing.assert_array_equal(distance_keys(db, q), [4, 2, 3])
         assert hand_layout.key_scale == 3
@@ -112,7 +112,7 @@ class TestDistanceKeys:
         rng = np.random.default_rng(12)
         layout = segment_layout(40, 5)
         packed = random_codes(rng, layout, 30)
-        q = BinaryCode(layout=layout, packed=packed[4])
+        q = CodeDatabase(layout=layout, packed=packed[4:5])
         db = CodeDatabase(layout=layout, packed=np.stack([packed[4]] * 3 + [packed[5]]))
         keys = distance_keys(db, q)
         assert keys.dtype == np.uint16
@@ -122,8 +122,9 @@ class TestDistanceKeys:
         q = code_from_signs(hand_layout, [1, 1, 1, 1])
         # each segment holds 2 valid bits; bytes differing from the query
         # only in padding positions score nothing
-        packed = np.array([[q.packed[0] | 0b100, q.packed[1]],
-                           [q.packed[0] | 0b1111_1100, q.packed[1] | 0b1111_1100]], np.uint8)
+        (q0, q1), = q.packed
+        packed = np.array([[q0 | 0b100, q1],
+                           [q0 | 0b1111_1100, q1 | 0b1111_1100]], np.uint8)
         db = CodeDatabase(layout=hand_layout, packed=packed)
         np.testing.assert_array_equal(distance_keys(db, q), [0, 0])
 
@@ -131,15 +132,15 @@ class TestDistanceKeys:
         rng = np.random.default_rng(17)
         layout = segment_layout(33, 4)  # widths (11, 11, 11): padding in each
         packed = random_codes(rng, layout, 50)
-        q = BinaryCode(layout=layout, packed=packed[0])
         db = CodeDatabase(layout=layout, packed=packed)
+        q = db.code(0)
         keys = distance_keys(db, q)
         np.testing.assert_array_equal(keys, exact_keys(layout, packed, q.packed))
         for i in range(50):
             c = db.code(i)
             assert keys[i] / layout.key_scale == weighted_distance(q, c)
             assert Fraction(int(keys[i]), layout.key_scale) == fraction_distance(
-                layout, q.unpack(), c.unpack())
+                layout, signs(q), signs(c))
 
     def test_complement_scores_every_bit(self):
         # a full word of differing bits, and keys past the uint16 range
@@ -148,7 +149,7 @@ class TestDistanceKeys:
             layout = segment_layout(L, K, scheme)
             ones = code_from_signs(layout, np.ones(L))
             zeros = code_from_signs(layout, -np.ones(L))
-            db = CodeDatabase(layout=layout, packed=np.stack([zeros.packed, ones.packed]))
+            db = CodeDatabase(layout=layout, packed=np.vstack([zeros.packed, ones.packed]))
             keys = distance_keys(db, ones)
             expected = sum(s.width * (0 if s.layer == 1 else K + 1 - s.layer)
                            for s in layout.segments)
@@ -159,7 +160,7 @@ class TestDistanceKeys:
         layout = segment_layout(48, 4, "paper-literal")  # 4 x 12 bits, 4 padding bits each
         assert layout.widths == (12, 12, 12, 12) and layout.segments[0].layer == 1
         packed = random_codes(rng, layout, 400)
-        q = BinaryCode(layout=layout, packed=packed[0])
+        q = CodeDatabase(layout=layout, packed=packed[0:1])
         expected = exact_keys(layout, packed, q.packed)
         dirty = packed.copy()
         dirty[:, 0:2] = rng.integers(0, 256, size=(400, 2))  # the zero-weight segment
@@ -174,7 +175,7 @@ class TestDistanceKeys:
         packed = random_codes(rng, layout, 20_000)
         db = CodeDatabase(layout=layout, packed=packed)
         for qi in range(3):
-            q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+            q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
             key = exact_keys(layout, packed, q.packed)
             order = np.lexsort((np.arange(len(key)), key))
             for n in (10, len(key)):
@@ -200,7 +201,7 @@ class TestSearch:
         base = code_from_signs(layout, [1] * 8)
         # two identical codes at equal distance from the query
         flip = code_from_signs(layout, [-1] + [1] * 7)
-        packed = np.stack([flip.packed, flip.packed, base.packed])
+        packed = np.vstack([flip.packed, flip.packed, base.packed])
         db = CodeDatabase(layout=layout, packed=packed)
         res = search_topn(db, base, 3)
         assert res.ids == [2, 0, 1]
@@ -226,16 +227,25 @@ class TestSearch:
         with pytest.raises(LayoutMismatch):
             search_topn(db, q, 1)
 
+    @pytest.mark.parametrize("search", [distance_keys, search_topn, brute_force_topn])
+    def test_query_of_two_rows(self, search):
+        rng = np.random.default_rng(14)
+        layout = segment_layout(16, 3)
+        db = self._db(rng, layout, 2)
+        args = (db, db) if search is distance_keys else (db, db, 2)
+        with pytest.raises(ShapeMismatch, match="one code, got 2 rows"):
+            search(*args)
+
     def test_inner_product_relation(self):
         rng = np.random.default_rng(6)
         layout = segment_layout(24, 3)
         db = self._db(rng, layout, 40)
-        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         res = search_topn(db, q, 40)
         # inner = sum_k u_k (L_k - 2 ham_k); check via per-segment recompute
         for item_id, dist, inner in res.rows():
             check = 0.0
-            qa, ca = q.unpack(), db.code(item_id).unpack()
+            qa, ca = signs(q), signs(db.code(item_id))
             for seg in layout.segments:
                 sl = slice(seg.bit_offset, seg.bit_offset + seg.width)
                 ham = int((qa[sl] != ca[sl]).sum())
@@ -246,7 +256,7 @@ class TestSearch:
         rng = np.random.default_rng(7)
         layout = segment_layout(32, 4)
         db = self._db(rng, layout, 100)
-        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         res = search_topn(db, q, 100)
         assert np.all(np.diff(res.distances) >= 0)
         assert np.all(np.diff(res.inner_products) <= 0)
@@ -257,7 +267,7 @@ class TestSearchRadius:
         layout = segment_layout(8, 2)
         a = code_from_signs(layout, [1] * 8)
         b = code_from_signs(layout, [-1] + [1] * 7)
-        db = CodeDatabase(layout=layout, packed=np.stack([a.packed, b.packed, a.packed]))
+        db = CodeDatabase(layout=layout, packed=np.vstack([a.packed, b.packed, a.packed]))
         res = search_radius(db, a, 0.0)
         assert res.ids == [0, 2]
 
@@ -266,14 +276,13 @@ class TestSearchRadius:
         layout = segment_layout(16, 3)
         packed = random_codes(rng, layout, 25)
         db = CodeDatabase(layout=layout, packed=packed)
-        q = BinaryCode(layout=layout, packed=packed[3])
+        q = CodeDatabase(layout=layout, packed=packed[3:4])
         res = search_radius(db, q, layout.max_distance)
         assert len(res) == 25
 
     def test_hand_radius(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
-        b = code_from_signs(hand_layout, [1, -1, -1, -1])  # distance 4/3
-        db = CodeDatabase(layout=hand_layout, packed=np.stack([b.packed]))
+        db = code_from_signs(hand_layout, [1, -1, -1, -1])  # one code, at distance 4/3
         assert search_radius(db, a, 4 / 3 + 1e-9).ids == [0]
         assert search_radius(db, a, 1.0).ids == []
 
@@ -282,7 +291,7 @@ class TestSearchRadius:
         layout = segment_layout(24, 3)
         packed = random_codes(rng, layout, 60)
         db = CodeDatabase(layout=layout, packed=packed)
-        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         full = search_topn(db, q, 60)
         r = full.distances[19]
         m = int((full.distances <= r).sum())
@@ -305,7 +314,7 @@ class TestSearchRadius:
         layout = segment_layout(64, 4)
         packed = random_codes(rng, layout, 5000)
         db = CodeDatabase(layout=layout, packed=packed)
-        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         key = exact_keys(layout, packed, q.packed)
         u = [s.weight for s in layout.segments]
         for level in np.unique(key)[:40]:
@@ -332,7 +341,7 @@ class TestBruteForceOracle:
             packed = random_codes(rng, layout, 200)
             db = CodeDatabase(layout=layout, packed=packed)
             for _ in range(20):
-                q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+                q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
                 fast = search_topn(db, q, 200)
                 slow = brute_force_topn(db, q, 200)
                 assert fast.ids == slow.ids
@@ -343,7 +352,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(11)
         layout = segment_layout(16, 3)
         db = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 30))
-        q = BinaryCode(layout=layout, packed=random_codes(rng, layout, 1)[0])
+        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         res = brute_force_topn(db, q, 30)
         assert np.all(np.diff(res.distances) >= 0)
 
@@ -352,15 +361,14 @@ class TestBruteForceOracle:
         layout = segment_layout(20, 4, "paper-literal")
         packed = random_codes(rng, layout, 40)
         db = CodeDatabase(layout=layout, packed=packed)
-        q = BinaryCode(layout=layout, packed=packed[7])
-        exact = [fraction_distance(layout, q.unpack(), db.code(i).unpack()) for i in range(40)]
+        q = CodeDatabase(layout=layout, packed=packed[7:8])
+        exact = [fraction_distance(layout, signs(q), signs(db.code(i))) for i in range(40)]
         res = brute_force_topn(db, q, 40)
         assert res.ids == sorted(range(40), key=lambda i: (exact[i], i))
         assert res.distances.tolist() == [float(exact[i]) for i in res.ids]
 
     def test_single_item_hand_distance(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
-        b = code_from_signs(hand_layout, [1, -1, -1, -1])
-        db = CodeDatabase(layout=hand_layout, packed=np.stack([b.packed]))
+        db = code_from_signs(hand_layout, [1, -1, -1, -1])  # one code
         res = brute_force_topn(db, a, 1)
         assert res.distances[0] == pytest.approx(4 / 3, rel=1e-15)

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -22,7 +23,13 @@ from shdh.io import (
 )
 from shdh.train import TrainRecord
 
-from conftest import TOY3_TEXT, random_codes, write_oversized
+from conftest import (
+    TOY3_TEXT,
+    random_codes,
+    write_layout_header,
+    write_oversized,
+    write_unchained_model,
+)
 
 
 class TestFeatures:
@@ -79,6 +86,22 @@ class TestCodes:
         write_codes(p2, db)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_each_padding_bit_rejected(self, tmp_path):
+        layout = segment_layout(21, 3)  # widths (10, 11): bytes 1 and 3 carry padding
+        packed = np.zeros((3, 4), np.uint8)
+        packed[:, [0, 2]] = 0xFF
+        packed[:, 1], packed[:, 3] = 0b11, 0b111  # every bit of every segment set
+        path = tmp_path / "c.shdc"
+        write_codes(path, CodeDatabase(layout=layout, packed=packed))
+        np.testing.assert_array_equal(read_codes(path).packed, packed)
+        for col, first_pad in ((1, 2), (3, 3)):
+            for bit in range(first_pad, 8):
+                dirty = packed.copy()
+                dirty[2, col] |= 1 << bit
+                write_codes(path, CodeDatabase(layout=layout, packed=dirty))
+                with pytest.raises(FileFormatError, match="code row 2 has nonzero padding"):
+                    read_codes(path)
+
 
 class TestModel:
     def test_round_trip(self, tmp_path):
@@ -92,6 +115,11 @@ class TestModel:
         assert got.layout == layout
         for a, b in zip(model.W + model.v, got.W + got.v):
             np.testing.assert_array_equal(a, b)
+
+    def test_layers_that_do_not_chain(self, tmp_path):
+        path = write_unchained_model(tmp_path / "m.shdm")
+        with pytest.raises(FileFormatError, match="do not chain"):
+            read_model(path)
 
     def test_no_hidden_layers(self, tmp_path):
         layout = segment_layout(8, 2)
@@ -118,6 +146,15 @@ def test_trailing_bytes_rejected(tmp_path, fmt):
     with open(path, "ab") as f:
         f.write(b"\x00" * 4)
     with pytest.raises(FileFormatError, match="after the payload"):
+        read(path)
+
+
+@pytest.mark.parametrize("fmt, read", [("codes", read_codes), ("model", read_model)])
+@pytest.mark.parametrize("L, K", [(16, 1), (2, 4)])
+def test_impossible_layout_header_rejected(tmp_path, fmt, read, L, K):
+    # height 1 has no layer weights; 2 bits cannot hold K=4's three segments
+    path = write_layout_header(tmp_path / "artifact", fmt, L, K)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: layout header L={L}, K={K}")):
         read(path)
 
 

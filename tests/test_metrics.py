@@ -191,15 +191,15 @@ class TestOracleAgreement:
 
 
 def _db(layout, codes):
-    packed = np.stack([c.packed for c in codes])
+    packed = np.vstack([c.packed for c in codes])
     return CodeDatabase(layout=layout, packed=packed)
 
 
 class TestEvalQueries:
     def test_perfect_self_retrieval(self, toy3):
         layout = segment_layout(8, 3)
-        self_code = quantize(np.full(8, 1.0), layout)
-        far_code = quantize(np.full(8, -1.0), layout)
+        self_code = quantize(np.full((1, 8), 1.0), layout)
+        far_code = quantize(np.full((1, 8), -1.0), layout)
         db = _db(layout, [self_code, far_code])
         report = eval_queries(db, ["rose", "tiger"], _db(layout, [self_code]), ["rose"], toy3,
                               ns=[1, 2])
@@ -210,15 +210,14 @@ class TestEvalQueries:
         rng = np.random.default_rng(6)
         layout = segment_layout(8, 3)
         labels = ["rose", "sun", "tiger", "oak"] * 5
-        packed = np.stack([quantize(rng.normal(size=8), layout).packed for _ in labels])
-        db = CodeDatabase(layout=layout, packed=packed)
-        q = quantize(rng.normal(size=8), layout)
+        db = _db(layout, [quantize(rng.normal(size=(1, 8)), layout) for _ in labels])
+        q = quantize(rng.normal(size=(1, 8)), layout)
         report = eval_queries(db, labels, _db(layout, [q]), ["rose"], toy3, ns=[10])
         assert report.per_query["ndcg"][0, 0] <= 1.0 + 1e-12
 
     def test_zero_relevance_excluded_from_wr(self, toy3):
         layout = segment_layout(8, 3)
-        a = quantize(np.full(8, 1.0), layout)
+        a = quantize(np.full((1, 8), 1.0), layout)
         db = _db(layout, [a, a])
         # query label shares nothing with db labels: zero total shared-layers
         report = eval_queries(db, ["tiger", "oak"], _db(layout, [a]), ["rose"], toy3, ns=[1])
@@ -227,7 +226,7 @@ class TestEvalQueries:
 
     def test_rank_too_large(self, toy3):
         layout = segment_layout(8, 3)
-        a = quantize(np.full(8, 1.0), layout)
+        a = quantize(np.full((1, 8), 1.0), layout)
         db = _db(layout, [a, a])
         with pytest.raises(RankTooLarge):
             eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=[3])
@@ -316,9 +315,8 @@ class TestCurves:
         rng = np.random.default_rng(8)
         layout = segment_layout(16, 3)
         labels = ["rose", "sun", "tiger", "oak"] * 6
-        packed = np.stack([quantize(rng.normal(size=16), layout).packed for _ in labels])
-        db = CodeDatabase(layout=layout, packed=packed)
-        qdb = _db(layout, [quantize(rng.normal(size=16), layout) for _ in range(4)])
+        db = _db(layout, [quantize(rng.normal(size=(1, 16)), layout) for _ in labels])
+        qdb = _db(layout, [quantize(rng.normal(size=(1, 16)), layout) for _ in range(4)])
         qlabels = ["rose", "sun", "oak", "tiger"]
         report = eval_queries(db, labels, qdb, qlabels, toy3, ns=())
         wr_n, radii, wr_r = report.wr_by_n, report.radii, report.wr_by_radius
