@@ -27,15 +27,7 @@ from .index import (
     search_topn,
     weighted_distance,
 )
-from .metrics import (
-    MetricReport,
-    acg_at,
-    dcg_at,
-    eval_queries,
-    ndcg_at,
-    relevance,
-    weighted_recall_at,
-)
+from .metrics import MetricReport, eval_queries
 from .train import (
     TrainConfig,
     backprop_step,
@@ -54,24 +46,19 @@ __all__ = [
     "ShdhError",
     "Taxonomy",
     "TrainConfig",
-    "acg_at",
     "backprop_step",
     "brute_force_topn",
-    "dcg_at",
     "distance_keys",
     "encode_batch",
     "eval_queries",
     "forward",
     "init_model",
     "layer_weights",
-    "ndcg_at",
     "parse_taxonomy",
     "quantize",
-    "relevance",
     "search_radius",
     "search_topn",
     "segment_layout",
     "train",
     "weighted_distance",
-    "weighted_recall_at",
 ]

@@ -36,6 +36,9 @@ class SyntheticConfig:
             raise ValueError("n_super, n_sub, and dim must be >= 1")
         if self.n_train < 1 or self.n_query < 0:
             raise ValueError("need n_train >= 1 and n_query >= 0")
+        for name in ("super_std", "sub_std", "noise_std"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

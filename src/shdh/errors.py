@@ -111,14 +111,6 @@ class RankTooLarge(ValidationError):
     code = "RANK_TOO_LARGE"
 
 
-class IdealMismatch(ValidationError):
-    code = "IDEAL_MISMATCH"
-
-
-class ZeroTotalRelevance(ValidationError):
-    code = "ZERO_TOTAL_RELEVANCE"
-
-
 # --- command line ------------------------------------------------------------
 
 class InvalidNumber(ValidationError):

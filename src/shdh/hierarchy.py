@@ -121,29 +121,17 @@ class Taxonomy:
         chains.setflags(write=False)
         self._leaf_chains = chains
 
-    def _leaf_index(self, label: str) -> int:
-        idx = self._leaf_row.get(label)
-        if idx is None:
-            raise UnknownLabel(f"{label!r} is not a leaf label")
-        return idx
-
     # --- similarity ------------------------------------------------------------
-
-    def shared_depth(self, a: str, b: str) -> int:
-        """Depth of the deepest common ancestor of two leaves."""
-        return int(self.shared_depths(self._leaf_index(a), self._leaf_index(b)))
-
-    def hier_similarity(self, a: str, b: str) -> float:
-        """Layer-weighted similarity of two leaf labels, in [-1, 1]."""
-        return float(self.sim_by_depth[self.shared_depth(a, b)])
 
     def label_rows(self, labels) -> np.ndarray:
         """Leaf chain-row indices for a sequence of labels: the one place
         where a label string becomes a row. Raises UnknownLabel for the first
         label, in input order, that is not a leaf."""
-        return np.fromiter(
-            (self._leaf_index(lab) for lab in labels), dtype=np.int64, count=len(labels)
-        )
+        try:
+            return np.fromiter((self._leaf_row[lab] for lab in labels),
+                               dtype=np.int64, count=len(labels))
+        except KeyError as exc:
+            raise UnknownLabel(f"{exc.args[0]!r} is not a leaf label") from None
 
     def shared_depths(self, rows_a, rows_b) -> np.ndarray:
         """Deepest-common-ancestor depths of leaf rows (see label_rows).

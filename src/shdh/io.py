@@ -220,8 +220,11 @@ def read_model(path) -> HashModel:
         _check_end(f, path)
     if not W:
         raise FileFormatError(f"{path}: model has no layers")
-    arch = Architecture(d=W[0].shape[1], hidden=tuple(w.shape[0] for w in W[:-1]),
-                        L=W[-1].shape[0])
+    try:
+        arch = Architecture(d=W[0].shape[1], hidden=tuple(w.shape[0] for w in W[:-1]),
+                            L=W[-1].shape[0])
+    except ShapeMismatch as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
     if [w.shape for w in W] != arch.layer_dims:
         raise FileFormatError(f"{path}: layer shapes {[w.shape for w in W]} do not chain")
     if arch.L != layout.L:

@@ -8,7 +8,7 @@ Relevance of a retrieved item to the query comes in two modes:
 * ``hier-similarity``: the layer-weighted similarity in [-1, 1]. Signed,
   so Weighted Recall can exceed 1 under this mode; kept for fidelity.
 
-Formulas (printed in report headers so results are self-describing):
+Formulas (written to each eval's summary.json, so results describe themselves):
   ACG@n = (1/n) sum_{i<=n} s_i
   DCG@n = sum_{i<=n} (2^{s_i} - 1) / log2(i + 1)
   NDCG@n = DCG@n / DCG@n(descending-sorted), and 1 when the ideal is 0
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import CodeDatabase
-from .errors import EmptyInput, IdealMismatch, RankTooLarge, ShapeMismatch, ZeroTotalRelevance
+from .errors import EmptyInput, RankTooLarge, ShapeMismatch
 from .hierarchy import Taxonomy
 from .index import distance_keys
 
@@ -51,50 +51,27 @@ def _relevance_by_depth(tax: Taxonomy, mode: str) -> np.ndarray:
     raise ValueError(f"unknown relevance mode {mode!r}, expected one of {MODES}")
 
 
-def relevance(tax: Taxonomy, q_label: str, item_label: str,
-              mode: str = MODE_SHARED_LAYERS) -> float:
-    """Relevance of one item to the query under the chosen mode."""
-    return float(_relevance_by_depth(tax, mode)[tax.shared_depth(q_label, item_label)])
-
-
-def _check_rank(rels: np.ndarray, n: int):
-    if not 1 <= n <= len(rels):
-        raise RankTooLarge(f"rank {n} outside [1, {len(rels)}]")
-
-
-def acg_at(rels, n: int) -> float:
-    rels = np.asarray(rels, dtype=np.float64)
-    _check_rank(rels, n)
-    return float(rels[:n].mean())
-
-
-def dcg_at(rels, n: int) -> float:
-    rels = np.asarray(rels, dtype=np.float64)
-    _check_rank(rels, n)
-    discounts = np.log2(np.arange(2, n + 2, dtype=np.float64))
-    return float(((np.exp2(rels[:n]) - 1.0) / discounts).sum())
-
-
-def ndcg_at(rels, ideal_rels, n: int) -> float:
-    rels = np.asarray(rels, dtype=np.float64)
-    ideal = np.asarray(ideal_rels, dtype=np.float64)
-    if len(rels) != len(ideal) or not np.array_equal(np.sort(rels), np.sort(ideal)):
-        raise IdealMismatch("ideal ranking must be the same relevance multiset")
-    if not np.array_equal(ideal, np.sort(ideal)[::-1]):
-        raise IdealMismatch("ideal ranking must be sorted descending")
-    denom = dcg_at(ideal, n)
-    if denom == 0.0:
-        return 1.0
-    return dcg_at(rels, n) / denom
-
-
-def weighted_recall_at(rels, n: int) -> float:
-    rels = np.asarray(rels, dtype=np.float64)
-    _check_rank(rels, n)
-    total = float(rels.sum())
-    if total == 0.0:
-        raise ZeroTotalRelevance("query has zero total relevance over the database")
-    return float(rels[:n].sum()) / total
+def _cutoff_metrics(rels: np.ndarray, ideal: np.ndarray, ns) -> np.ndarray:
+    """ACG, DCG, NDCG and WR (rows, in METRIC_NAMES order) of one query's
+    ranked relevances at each cutoff in ns (columns); each cutoff must lie in
+    [1, len(rels)]. `ideal` holds at least the first max(ns) relevances in
+    descending order. DCG's gains over discounts (Järvelin & Kekäläinen,
+    ACM TOIS 2002) are computed once, and each cutoff sums a prefix of
+    them. WR is NaN when the total relevance is zero."""
+    max_n = max(ns, default=0)
+    discounts = np.log2(np.arange(2, max_n + 2, dtype=np.float64))
+    gains = (np.exp2(rels[:max_n]) - 1.0) / discounts
+    ideal_gains = (np.exp2(ideal[:max_n]) - 1.0) / discounts
+    total = rels.sum()
+    out = np.full((len(METRIC_NAMES), len(ns)), np.nan)
+    for ni, n in enumerate(ns):
+        dcg, ideal_dcg = gains[:n].sum(), ideal_gains[:n].sum()
+        out[0, ni] = rels[:n].mean()
+        out[1, ni] = dcg
+        out[2, ni] = 1.0 if ideal_dcg == 0.0 else dcg / ideal_dcg
+        if total != 0.0:
+            out[3, ni] = rels[:n].sum() / total
+    return out
 
 
 @dataclass
@@ -181,9 +158,9 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
     leaves = np.arange(len(tax.leaves))
     db_rows = tax.label_rows(db_labels)
     leaf_count = np.bincount(db_rows, minlength=len(leaves))
-    max_n = max(ns, default=0)
 
-    per_query = {m: np.full((len(qdb), len(ns)), np.nan) for m in METRIC_NAMES}
+    values = np.empty((len(METRIC_NAMES), len(qdb), len(ns)))
+    per_query = dict(zip(METRIC_NAMES, values))
     wr_excluded = kept = 0
     wr_n_sum = np.zeros(N)
     wr_level_sum = np.zeros(n_levels)
@@ -193,15 +170,9 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
         leaf_rel = rel_by_depth[tax.shared_depths(q_row, leaves)]
         rels = leaf_rel[db_rows[np.argsort(key, kind="stable")]]
         by_rel = np.argsort(-leaf_rel, kind="stable")
-        ideal = np.repeat(leaf_rel[by_rel], leaf_count[by_rel])[:max_n]
+        ideal = np.repeat(leaf_rel[by_rel], leaf_count[by_rel])
+        values[:, qi] = _cutoff_metrics(rels, ideal, ns)
         total = float(rels.sum())
-        for ni, n in enumerate(ns):
-            dcg, ideal_dcg = dcg_at(rels, n), dcg_at(ideal, n)
-            per_query["acg"][qi, ni] = acg_at(rels, n)
-            per_query["dcg"][qi, ni] = dcg
-            per_query["ndcg"][qi, ni] = 1.0 if ideal_dcg == 0.0 else dcg / ideal_dcg
-            if total != 0.0:
-                per_query["weighted_recall"][qi, ni] = float(rels[:n].sum()) / total
         if total == 0.0:
             wr_excluded += 1
             continue

@@ -95,3 +95,15 @@ def write_unchained_model(path):
     write_model(path, HashModel(arch=Architecture(d=8, hidden=(16,), L=16),
                                 layout=segment_layout(16, 3), W=W, v=[np.zeros(16)] * 2))
     return path
+
+
+def write_zero_width_model(path):
+    """A model whose one hidden layer has no units: W are 0 x 8 and 16 x 0."""
+    from shdh.codes import Architecture, HashModel, segment_layout
+    from shdh.io import write_model
+
+    W = [np.zeros((0, 8)), np.zeros((16, 0))]
+    write_model(path, HashModel(arch=Architecture(d=8, hidden=(16,), L=16),
+                                layout=segment_layout(16, 3), W=W,
+                                v=[np.zeros(0), np.zeros(16)]))
+    return path

@@ -19,7 +19,7 @@ from shdh.codes import (
 from shdh.datagen import SyntheticConfig, generate
 from shdh.hierarchy import Taxonomy, layer_weights
 from shdh.index import brute_force_topn, search_radius, search_topn
-from shdh.metrics import acg_at, dcg_at, eval_queries, ndcg_at, weighted_recall_at
+from shdh.metrics import METRIC_NAMES, _cutoff_metrics, eval_queries
 from shdh.train import TrainConfig, loss_terms, train
 from shdh.codes import forward
 
@@ -207,22 +207,26 @@ def test_criterion_6_metrics_oracle():
             rels[0] = 1.0
         n = int(rng.integers(1, N + 1))
         rl = rels.tolist()
-        ideal = np.sort(rels)[::-1]
-        ok &= abs(acg_at(rels, n) - acg_brute(rl, n)) < 1e-9
-        ok &= abs(dcg_at(rels, n) - dcg_brute(rl, n)) < 1e-9
-        ok &= abs(ndcg_at(rels, ideal, n) - ndcg_brute(rl, n)) < 1e-9
-        ok &= abs(weighted_recall_at(rels, n) - weighted_recall_brute(rl, n)) < 1e-9
+        acg, dcg, ndcg, wr = _cutoff_metrics(rels, np.sort(rels)[::-1], [n])[:, 0]
+        ok &= abs(acg - acg_brute(rl, n)) < 1e-9
+        ok &= abs(dcg - dcg_brute(rl, n)) < 1e-9
+        ok &= abs(ndcg - ndcg_brute(rl, n)) < 1e-9
+        ok &= abs(wr - weighted_recall_brute(rl, n)) < 1e-9
+
+    def at(metric, rels, n):
+        rels = np.asarray(rels, dtype=np.float64)
+        return _cutoff_metrics(rels, np.sort(rels)[::-1], [n])[METRIC_NAMES.index(metric), 0]
 
     # frozen hand examples
-    ok &= acg_at([2, 1, 0], 3) == 1.0
-    ok &= acg_at([2, 1, 0], 1) == 2.0
-    ok &= abs(dcg_at([1, 0.5, 0], 3) - 1.2613396608340124) < 1e-12
-    ok &= dcg_at([1.0], 1) == 1.0
-    ok &= ndcg_at([2, 1, 0], [2, 1, 0], 3) == 1.0
-    ok &= abs(ndcg_at([0, 1, 2], [2, 1, 0], 3) - 0.58688267143572) < 1e-12
-    ok &= weighted_recall_at([2, 1, 0.5], 3) == 1.0
-    ok &= abs(weighted_recall_at([2, 1, 1, 0], 2) - 0.75) < 1e-15
-    ok &= abs(weighted_recall_at([1, 2 / 3, -1], 2) - 2.5) < 1e-12
+    ok &= at("acg", [2, 1, 0], 3) == 1.0
+    ok &= at("acg", [2, 1, 0], 1) == 2.0
+    ok &= abs(at("dcg", [1, 0.5, 0], 3) - 1.2613396608340124) < 1e-12
+    ok &= at("dcg", [1.0], 1) == 1.0
+    ok &= at("ndcg", [2, 1, 0], 3) == 1.0
+    ok &= abs(at("ndcg", [0, 1, 2], 3) - 0.58688267143572) < 1e-12
+    ok &= at("weighted_recall", [2, 1, 0.5], 3) == 1.0
+    ok &= abs(at("weighted_recall", [2, 1, 1, 0], 2) - 0.75) < 1e-15
+    ok &= abs(at("weighted_recall", [1, 2 / 3, -1], 2) - 2.5) < 1e-12
     report("criterion 6: metrics vs independent reimplementation (100 rankings)",
            ok, t0, 5.0)
 

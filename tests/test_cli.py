@@ -15,7 +15,13 @@ from shdh.io import (
     write_model,
 )
 
-from conftest import random_codes, write_layout_header, write_oversized, write_unchained_model
+from conftest import (
+    random_codes,
+    write_layout_header,
+    write_oversized,
+    write_unchained_model,
+    write_zero_width_model,
+)
 
 K4_TAXONOMY = (
     "root\ta\nroot\tb\n"
@@ -235,6 +241,16 @@ class TestEncode:
             err = capsys.readouterr().err
             assert err.startswith("BAD_FILE_FORMAT: ") and "do not chain" in err
 
+    def test_zero_width_layer_exit_2(self, dataset, tmp_path, capsys):
+        model = write_zero_width_model(tmp_path / "m.shdm")
+        for argv in (["encode", "--model", str(model), "--features", str(dataset / "train.shdf"),
+                      "--out", str(tmp_path / "o.shdc")],
+                     ["inspect", str(model)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"BAD_FILE_FORMAT: {model}: all layer widths must be >= 1")
+        assert not any(tmp_path.glob("o.*"))
+
 
 @pytest.mark.parametrize("command, rows", [("encode", 0), ("query", 3), ("query", 0)])
 def test_feature_width_mismatch_exit_3(trained, tmp_path, capsys, command, rows):
@@ -433,6 +449,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert "BAD_FILE_FORMAT" in err and "hier-similarity" in err
 
+    @pytest.mark.parametrize("ns", ["0", "81", "1,81"])
+    def test_cutoff_outside_database_exit_3(self, dataset, trained, tmp_path, capsys, ns):
+        rc = main([
+            "eval",
+            "--db-codes", str(trained / "db.shdc"),
+            "--db-labels", str(dataset / "train_labels.tsv"),
+            "--query-codes", str(trained / "q.shdc"),
+            "--query-labels", str(dataset / "query_labels.tsv"),
+            "--taxonomy", str(dataset / "taxonomy.tsv"),
+            "--ns", ns, "--out-prefix", str(tmp_path / "e"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("RANK_TOO_LARGE: ")
+        assert not any(tmp_path.glob("e.*"))
+
     def test_rerun_identical_reports(self, dataset, trained, tmp_path):
         def run(prefix):
             rc = main([
@@ -529,10 +560,14 @@ class TestNumericFlags:
         ("--supers", "x"), ("--subs", "1.5"), ("--dim", "d"), ("--n-train", "many"),
         ("--n-query", "-"), ("--super-std", "abc"), ("--sub-std", "inf"),
         ("--noise-std", "?"), ("--scale", ""), ("--seed", "0x1"), ("--supers", "0"),
+        ("--super-std", "-1"), ("--sub-std", "-1"), ("--noise-std", "-0.5"),
     ])
     def test_gen(self, tmp_path, capsys, flag, value):
         argv = ["gen", "--out-dir", str(tmp_path / "g"), flag, value]
-        self._expect_invalid(capsys, argv, "n_super" if value == "0" else flag)
+        # range errors name the config field: --supers 0 is n_super, --sub-std -1 is sub_std
+        field = "n_super" if flag == "--supers" else flag[2:].replace("-", "_")
+        self._expect_invalid(capsys, argv, field if value in ("0", "-1", "-0.5") else flag)
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--n", "x"), ("--n", "0"), ("--threads", "x"), ("--threads", "0"),

@@ -90,27 +90,33 @@ class TestLayerWeights:
             layer_weights(1)
 
 
+def leaf_similarity(tax, a, b):
+    """Similarity of two leaf labels: the table at their shared depth."""
+    rows = tax.label_rows([a, b])
+    return tax.sim_by_depth[tax.shared_depths(rows[0], rows[1])]
+
+
 class TestHierSimilarity:
     def test_self_similarity_exactly_one(self, fig4):
-        assert fig4.hier_similarity("rose", "rose") == 1.0
+        assert leaf_similarity(fig4, "rose", "rose") == 1.0
 
     def test_figure_pair(self, fig4):
         # shares layers 2 and 3: 2*(0.5 + 1/3) - 1 = 2/3
-        assert fig4.hier_similarity("rose", "sunflower") == pytest.approx(2 / 3, abs=1e-15)
+        assert leaf_similarity(fig4, "rose", "sunflower") == pytest.approx(2 / 3, abs=1e-15)
 
     def test_opposite_branch_exactly_minus_one(self, fig4):
-        assert fig4.hier_similarity("rose", "tiger") == -1.0
+        assert leaf_similarity(fig4, "rose", "tiger") == -1.0
 
     def test_monotone_in_shared_depth(self, fig4):
         # deeper common ancestor => strictly larger similarity
-        s_sub = fig4.hier_similarity("rose", "sunflower")  # share depth 3
-        s_kingdom = fig4.hier_similarity("rose", "oak")    # share depth 2
-        s_none = fig4.hier_similarity("rose", "tiger")     # share depth 1
+        s_sub = leaf_similarity(fig4, "rose", "sunflower")  # share depth 3
+        s_kingdom = leaf_similarity(fig4, "rose", "oak")    # share depth 2
+        s_none = leaf_similarity(fig4, "rose", "tiger")     # share depth 1
         assert s_sub > s_kingdom > s_none
 
     def test_only_leaves_accepted(self, fig4):
         with pytest.raises(UnknownLabel):
-            fig4.hier_similarity("plant", "rose")
+            leaf_similarity(fig4, "plant", "rose")
 
 
 def _depth_brute(parent, K, a, b):
@@ -137,8 +143,9 @@ class TestSharedDepths:
             assert grid.tolist() == [[_depth_brute(parent, K, a, b) for b in b_labels]
                                      for a in a_labels]
 
-            for a, b in zip(a_labels, b_labels):
-                assert tax.shared_depth(a, b) == _depth_brute(parent, K, a, b)
+            pairs = tax.shared_depths(a_rows, b_rows[:len(a_rows)])  # (n,) x (n,)
+            assert pairs.tolist() == [_depth_brute(parent, K, a, b)
+                                      for a, b in zip(a_labels, b_labels)]
 
 
 class TestLabelRows:
@@ -204,7 +211,7 @@ class TestSimilarityMatrix:
         S = _sim(fig4, labels)
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
-                assert S[i, j] == fig4.hier_similarity(a, b)
+                assert S[i, j] == leaf_similarity(fig4, a, b)
 
     def test_one_only_for_identical_leaves(self):
         # leaves all sit at depth K, so similarity 1 identifies the label
@@ -213,7 +220,7 @@ class TestSimilarityMatrix:
             K = int(rng.integers(2, 6))
             parent, leaves = random_taxonomy(rng, K, max_leaves=40)
             tax = Taxonomy(parent)
-            for a in leaves:
-                for b in leaves:
-                    s = tax.hier_similarity(a, b)
-                    assert (s == 1.0) == (a == b)
+            S = _sim(tax, leaves)
+            for i, a in enumerate(leaves):
+                for j, b in enumerate(leaves):
+                    assert (S[i, j] == 1.0) == (a == b)

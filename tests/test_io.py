@@ -29,6 +29,7 @@ from conftest import (
     write_layout_header,
     write_oversized,
     write_unchained_model,
+    write_zero_width_model,
 )
 
 
@@ -119,6 +120,11 @@ class TestModel:
     def test_layers_that_do_not_chain(self, tmp_path):
         path = write_unchained_model(tmp_path / "m.shdm")
         with pytest.raises(FileFormatError, match="do not chain"):
+            read_model(path)
+
+    def test_zero_width_layer(self, tmp_path):
+        path = write_zero_width_model(tmp_path / "m.shdm")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: all layer widths")):
             read_model(path)
 
     def test_no_hidden_layers(self, tmp_path):

@@ -3,15 +3,8 @@ import pytest
 
 import shdh.metrics
 from shdh.codes import CodeDatabase, quantize, segment_layout
-from shdh.errors import IdealMismatch, RankTooLarge, UnknownLabel, ZeroTotalRelevance
-from shdh.metrics import (
-    acg_at,
-    dcg_at,
-    eval_queries,
-    ndcg_at,
-    relevance,
-    weighted_recall_at,
-)
+from shdh.errors import RankTooLarge, UnknownLabel
+from shdh.metrics import METRIC_NAMES, _cutoff_metrics, _relevance_by_depth, eval_queries
 
 from shdh.hierarchy import Taxonomy
 from shdh.index import brute_force_topn
@@ -35,27 +28,43 @@ DCG_HAND = 1.2613396608340124
 NDCG_REVERSED_HAND = 0.58688267143572
 
 
+def metric_at(metric, rels, n):
+    """One metric of the kernel at cutoff n, with the ideal ranking taken
+    from the relevances themselves."""
+    rels = np.asarray(rels, dtype=np.float64)
+    out = _cutoff_metrics(rels, np.sort(rels)[::-1], [n])
+    return out[METRIC_NAMES.index(metric), 0]
+
+
+def pair_relevance(tax, a, b, mode):
+    """Relevance of leaf b to leaf a: the mode's table at their shared depth."""
+    rows = tax.label_rows([a, b])
+    return _relevance_by_depth(tax, mode)[tax.shared_depths(rows[0], rows[1])]
+
+
 class TestRelevance:
     def test_self_shared_layers(self, toy3):
-        assert relevance(toy3, "rose", "rose", "shared-layers") == 2.0
+        assert pair_relevance(toy3, "rose", "rose", "shared-layers") == 2.0
 
     def test_sibling_shared_layers(self, toy3):
-        assert relevance(toy3, "rose", "sun", "shared-layers") == 1.0
+        assert pair_relevance(toy3, "rose", "sun", "shared-layers") == 1.0
 
     def test_opposite_hier_similarity(self, toy3):
-        assert relevance(toy3, "rose", "tiger", "hier-similarity") == -1.0
+        assert pair_relevance(toy3, "rose", "tiger", "hier-similarity") == -1.0
 
     def test_unknown(self, toy3):
         with pytest.raises(UnknownLabel):
-            relevance(toy3, "rose", "daisy")
+            pair_relevance(toy3, "rose", "daisy", "shared-layers")
+        layout = segment_layout(8, 3)
+        db = _db(layout, [quantize(np.full((1, 8), 1.0), layout)])
         with pytest.raises(ValueError):
-            relevance(toy3, "rose", "sun", "shared-depth")
+            eval_queries(db, ["sun"], db, ["rose"], toy3, mode="shared-depth", ns=[1])
 
     def test_modes_rank_candidates_identically(self, fig4):
         # both modes are monotone in the depth of the deepest common ancestor
         candidates = ["rose", "sunflower", "oak", "tiger"]
-        shared = [relevance(fig4, "rose", c, "shared-layers") for c in candidates]
-        hier = [relevance(fig4, "rose", c, "hier-similarity") for c in candidates]
+        shared = [pair_relevance(fig4, "rose", c, "shared-layers") for c in candidates]
+        hier = [pair_relevance(fig4, "rose", c, "hier-similarity") for c in candidates]
         assert np.argsort(shared).tolist() == np.argsort(hier).tolist()
 
     @pytest.mark.parametrize("mode", ["shared-layers", "hier-similarity"])
@@ -66,35 +75,29 @@ class TestRelevance:
             tax = Taxonomy(parent)
             for _ in range(40):
                 a, b = (str(x) for x in rng.choice(leaves, size=2))
-                assert relevance(tax, a, b, mode) == relevance_brute(parent, K, a, b, mode)
+                assert pair_relevance(tax, a, b, mode) == relevance_brute(parent, K, a, b, mode)
 
 
 class TestACG:
     def test_hand_mean(self):
-        assert acg_at([2, 1, 0], 3) == 1.0
+        assert metric_at("acg", [2, 1, 0], 3) == 1.0
 
     def test_single(self):
-        assert acg_at([2, 1, 0], 1) == 2.0
+        assert metric_at("acg", [2, 1, 0], 1) == 2.0
 
     def test_zeros(self):
-        assert acg_at([0, 0, 0], 2) == 0.0
-
-    def test_rank_too_large(self):
-        with pytest.raises(RankTooLarge):
-            acg_at([1, 2], 3)
-        with pytest.raises(RankTooLarge):
-            acg_at([1, 2], 0)
+        assert metric_at("acg", [0, 0, 0], 2) == 0.0
 
 
 class TestDCG:
     def test_hand_value(self):
-        assert dcg_at([1, 0.5, 0], 3) == pytest.approx(DCG_HAND, abs=1e-12)
+        assert metric_at("dcg", [1, 0.5, 0], 3) == pytest.approx(DCG_HAND, abs=1e-12)
 
     def test_first_position_undiscounted(self):
-        assert dcg_at([1.0], 1) == 1.0
+        assert metric_at("dcg", [1.0], 1) == 1.0
 
     def test_zeros(self):
-        assert dcg_at([0, 0, 0], 3) == 0.0
+        assert metric_at("dcg", [0, 0, 0], 3) == 0.0
 
     def test_adjacent_swap_increases_dcg(self):
         rng = np.random.default_rng(2)
@@ -105,58 +108,61 @@ class TestDCG:
                 continue
             swapped = rels.copy()
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            assert dcg_at(swapped, 8) > dcg_at(rels, 8)
+            assert metric_at("dcg", swapped, 8) > metric_at("dcg", rels, 8)
+
+    def test_cutoffs_are_independent(self):
+        # each cutoff sums its own prefix, so asking for several at once
+        # gives the same bits as asking for each alone
+        rng = np.random.default_rng(9)
+        rels = rng.uniform(-1, 3, size=40)
+        ideal = np.sort(rels)[::-1]
+        ns = [1, 7, 8, 9, 33, 40]
+        together = _cutoff_metrics(rels, ideal, ns)
+        for ni, n in enumerate(ns):
+            np.testing.assert_array_equal(together[:, ni], _cutoff_metrics(rels, ideal, [n])[:, 0])
 
 
 class TestNDCG:
     def test_ideal_is_one(self):
-        assert ndcg_at([2, 1, 0], [2, 1, 0], 3) == 1.0
+        assert metric_at("ndcg", [2, 1, 0], 3) == 1.0
 
     def test_reversed_hand_value(self):
-        assert ndcg_at([0, 1, 2], [2, 1, 0], 3) == pytest.approx(NDCG_REVERSED_HAND, abs=1e-12)
+        assert metric_at("ndcg", [0, 1, 2], 3) == pytest.approx(NDCG_REVERSED_HAND, abs=1e-12)
 
     def test_all_equal_relevances(self):
-        assert ndcg_at([1, 1, 1], [1, 1, 1], 2) == 1.0
+        assert metric_at("ndcg", [1, 1, 1], 2) == 1.0
 
     def test_zero_ideal_defined_as_one(self):
-        assert ndcg_at([0, 0], [0, 0], 2) == 1.0
-
-    def test_ideal_mismatch(self):
-        with pytest.raises(IdealMismatch):
-            ndcg_at([1, 2], [2, 2], 2)
-        with pytest.raises(IdealMismatch):
-            ndcg_at([1, 2], [1, 2], 2)  # not sorted descending
+        assert metric_at("ndcg", [0, 0], 2) == 1.0
 
     def test_bounds_for_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             rels = rng.uniform(0, 3, size=10)
-            ideal = np.sort(rels)[::-1]
-            v = ndcg_at(rels, ideal, int(rng.integers(1, 11)))
+            v = metric_at("ndcg", rels, int(rng.integers(1, 11)))
             assert 0.0 <= v <= 1.0 + 1e-12
 
 
 class TestWeightedRecall:
     def test_full_list_is_one(self):
-        assert weighted_recall_at([2, 1, 0.5], 3) == 1.0
+        assert metric_at("weighted_recall", [2, 1, 0.5], 3) == 1.0
 
     def test_hand_sums(self):
-        assert weighted_recall_at([2, 1, 1, 0], 2) == pytest.approx(3 / 4, rel=1e-15)
+        assert metric_at("weighted_recall", [2, 1, 1, 0], 2) == pytest.approx(3 / 4, rel=1e-15)
 
     def test_signed_relevances_can_exceed_one(self):
-        assert weighted_recall_at([1, 2 / 3, -1], 2) == pytest.approx(2.5, rel=1e-12)
+        assert metric_at("weighted_recall", [1, 2 / 3, -1], 2) == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_total(self):
-        with pytest.raises(ZeroTotalRelevance):
-            weighted_recall_at([0, 0, 0], 1)
+        assert np.isnan(metric_at("weighted_recall", [0, 0, 0], 1))
 
     def test_nondecreasing_in_n(self):
         rng = np.random.default_rng(4)
         rels = rng.uniform(0, 2, size=20)
-        values = [weighted_recall_at(rels, n) for n in range(1, 21)]
+        values = [metric_at("weighted_recall", rels, n) for n in range(1, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0
-        assert all(acg_at(rels, n) >= 0.0 for n in range(1, 21))
+        assert all(metric_at("acg", rels, n) >= 0.0 for n in range(1, 21))
 
 
 class TestOracleAgreement:
@@ -172,22 +178,11 @@ class TestOracleAgreement:
                 rels[0] = 1.0
             n = int(rng.integers(1, N + 1))
             rl = rels.tolist()
-            assert acg_at(rels, n) == pytest.approx(acg_brute(rl, n), abs=1e-9)
-            assert dcg_at(rels, n) == pytest.approx(dcg_brute(rl, n), abs=1e-9)
-            ideal = np.sort(rels)[::-1]
-            assert ndcg_at(rels, ideal, n) == pytest.approx(ndcg_brute(rl, n), abs=1e-9)
-            assert weighted_recall_at(rels, n) == pytest.approx(
-                weighted_recall_brute(rl, n), abs=1e-9)
-
-    def test_relabeling_invariance(self):
-        # metrics depend only on the relevance sequence, not item identity
-        rels = [2.0, 0.0, 1.0, 1.0]
-        ideal = sorted(rels, reverse=True)
-        base = (acg_at(rels, 3), dcg_at(rels, 3), ndcg_at(rels, ideal, 3),
-                weighted_recall_at(rels, 3))
-        again = (acg_at(list(rels), 3), dcg_at(list(rels), 3),
-                 ndcg_at(list(rels), ideal, 3), weighted_recall_at(list(rels), 3))
-        assert base == again
+            acg, dcg, ndcg, wr = _cutoff_metrics(rels, np.sort(rels)[::-1], [n])[:, 0]
+            assert acg == pytest.approx(acg_brute(rl, n), abs=1e-9)
+            assert dcg == pytest.approx(dcg_brute(rl, n), abs=1e-9)
+            assert ndcg == pytest.approx(ndcg_brute(rl, n), abs=1e-9)
+            assert wr == pytest.approx(weighted_recall_brute(rl, n), abs=1e-9)
 
 
 def _db(layout, codes):
@@ -228,8 +223,9 @@ class TestEvalQueries:
         layout = segment_layout(8, 3)
         a = quantize(np.full((1, 8), 1.0), layout)
         db = _db(layout, [a, a])
-        with pytest.raises(RankTooLarge):
-            eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=[3])
+        for ns in ([3], [0], [1, 3]):
+            with pytest.raises(RankTooLarge):
+                eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=ns)
 
 
 def _fig4_case(seed, n_db=120, n_q=8):
@@ -264,13 +260,9 @@ class TestSinglePassEval:
         expected = {m: np.full((len(qdb), len(ns)), np.nan) for m in report.per_query}
         for qi, ql in enumerate(qlabels):
             rels, _ = _oracle_ranking(db, labels, qdb.code(qi), ql, mode)
-            ideal = np.sort(rels)[::-1]
-            for ni, n in enumerate(ns):
-                expected["acg"][qi, ni] = acg_at(rels, n)
-                expected["dcg"][qi, ni] = dcg_at(rels, n)
-                expected["ndcg"][qi, ni] = ndcg_at(rels, ideal, n)
-                if rels.sum() != 0.0:
-                    expected["weighted_recall"][qi, ni] = weighted_recall_at(rels, n)
+            kernel = _cutoff_metrics(rels, np.sort(rels)[::-1], ns)
+            for metric, row in zip(METRIC_NAMES, kernel):
+                expected[metric][qi] = row
         for metric, values in expected.items():
             np.testing.assert_array_equal(report.per_query[metric], values)
         if mode == "shared-layers":
