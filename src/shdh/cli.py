@@ -51,41 +51,35 @@ from .metrics import METRIC_NAMES, MODES, eval_queries
 from .train import TrainConfig, train
 
 
-def _number(value, flag: str, kind=int, minimum=None):
-    """A numeric flag or setting; a malformed value is a validation error."""
-    try:
-        out = kind(str(value).strip())
-    except ValueError:
-        out = None
-    if out is None or (kind is float and not math.isfinite(out)):
-        what = "an integer" if kind is int else "a finite number"
-        raise InvalidNumber(f"{flag} expects {what}, got {value!r}")
-    if minimum is not None and out < minimum:
-        raise InvalidNumber(f"{flag} must be >= {minimum}, got {value!r}")
-    return out
+def _number(flag: str, kind=int, minimum=None, many=False):
+    """argparse `type` of a numeric flag (many: a comma-separated list, empty
+    items skipped). argparse also runs it over string defaults, so config
+    values and SHDH_THREADS get the same check. A malformed value is a
+    validation error (exit 3), not a usage error."""
+    def convert(text: str):
+        try:
+            out = kind(text.strip())
+        except ValueError:
+            out = None
+        if out is None or (kind is float and not math.isfinite(out)):
+            what = "an integer" if kind is int else "a finite number"
+            raise InvalidNumber(f"{flag} expects {what}, got {text!r}")
+        if minimum is not None and out < minimum:
+            raise InvalidNumber(f"{flag} must be >= {minimum}, got {text!r}")
+        return out
+    if many:
+        return lambda text: [convert(part) for part in text.split(",") if part.strip()]
+    return convert
 
 
-def _int_list(text, flag: str) -> list[int]:
-    return [_number(p, flag) for p in str(text).split(",") if p.strip()]
-
-
-def _check_threads(args):
-    """--threads (else SHDH_THREADS) is validated but not used: one numpy
-    pass per query is as fast on one thread as on several."""
-    if args.threads:
-        _number(args.threads, "--threads", minimum=1)
-    elif os.environ.get("SHDH_THREADS"):
-        _number(os.environ["SHDH_THREADS"], "SHDH_THREADS")
-
-
-def _write_manifest(primary_output, command: str, args: argparse.Namespace):
+def _write_manifest(primary_output, args: argparse.Namespace):
     effective = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "config") and not k.startswith("_")
     }
-    manifest = {"command": command, "version": __version__, "effective_config": effective}
+    manifest = {"command": args.command, "version": __version__, "effective_config": effective}
     with atomic_write(str(primary_output) + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, default=str)
+        json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -93,7 +87,8 @@ def _load_config_defaults(argv, subparsers):
     """Pre-scan for --config and install each key=value pair as a default on
     the subparsers that define that option. set_defaults replaces action
     defaults, so config values sit between built-in defaults and explicit
-    flags in precedence. It also skips argparse's own checks, so they are
+    flags in precedence, and a defaulted option is no longer required.
+    set_defaults skips argparse's own checks, so they are
     made here: a key that no subcommand defines, a repeatable (append)
     option, a value outside an option's choices, and a store_true value
     other than true or false are BAD_FILE_FORMAT errors."""
@@ -130,6 +125,7 @@ def _load_config_defaults(argv, subparsers):
                 raise FileFormatError(
                     f"{where}: {key} must be one of {', '.join(action.choices)}, got {value!r}")
             sub.set_defaults(**{key: value == "true" if switch else value})
+            action.required = False
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -139,24 +135,15 @@ def cmd_train(args) -> int:
     features = read_features(args.features)
     _, labels = read_labels(args.labels)
     tax = read_taxonomy(args.taxonomy)
-    layout = segment_layout(_number(args.bits, "--bits"), tax.K, args.scheme)
-    hidden = tuple(_int_list(args.hidden, "--hidden"))
-    arch = Architecture(d=features.shape[1], hidden=hidden, L=layout.L)
-    try:
-        config = TrainConfig(
-            iters=_number(args.iters, "--iters"),
-            alpha=_number(args.alpha, "--alpha", float),
-            eta0=_number(args.eta0, "--eta0", float),
-            batch=_number(args.batch, "--batch"),
-            seed=_number(args.seed, "--seed"),
-        )
-    except ValueError as exc:
-        raise InvalidNumber(str(exc)) from None
+    layout = segment_layout(args.bits, tax.K, args.scheme)
+    arch = Architecture(d=features.shape[1], hidden=tuple(args.hidden), L=layout.L)
+    config = TrainConfig(iters=args.iters, alpha=args.alpha, eta0=args.eta0,
+                         batch=args.batch, seed=args.seed)
     model, log = train(features, labels, tax, arch, layout, config)
     write_model(args.out, model)
     trainlog_path = args.trainlog or str(args.out) + ".trainlog.csv"
     write_trainlog(trainlog_path, log)
-    _write_manifest(args.out, "train", args)
+    _write_manifest(args.out, args)
     print(f"trained {config.iters} iterations; model -> {args.out}; log -> {trainlog_path}")
     return 0
 
@@ -166,7 +153,7 @@ def cmd_encode(args) -> int:
     features = read_features(args.features)
     db = encode_batch(model, features)
     write_codes(args.out, db)
-    _write_manifest(args.out, "encode", args)
+    _write_manifest(args.out, args)
     print(f"encoded {len(db)} items -> {args.out}")
     return 0
 
@@ -180,7 +167,7 @@ def cmd_query(args) -> int:
         raise ValidationError("give --query-id or --query-features, not both")
     queries = []
     if args.query_id is not None:
-        for qid in (_number(q, "--query-id") for q in args.query_id):
+        for qid in args.query_id:
             if not 0 <= qid < len(db):
                 raise UnknownQueryId(f"query id {qid} outside [0, {len(db) - 1}]")
             queries.append((qid, db.code(qid)))
@@ -193,9 +180,7 @@ def cmd_query(args) -> int:
         raise ValidationError("provide --query-id or --query-features")
 
     search = brute_force_topn if args.oracle else search_topn
-    n = _number(args.n, "--n", minimum=1)
-    _check_threads(args)
-    results = [search(db, qcode, n) for _, qcode in queries]
+    results = [search(db, qcode, args.n) for _, qcode in queries]
 
     lines = ["query\trank\titem_id\tdistance\tinner_product"]
     for (qid, _), result in zip(queries, results):
@@ -205,7 +190,7 @@ def cmd_query(args) -> int:
     if args.out:
         with atomic_write(args.out, "w") as f:
             f.write(text)
-        _write_manifest(args.out, "query", args)
+        _write_manifest(args.out, args)
     else:
         sys.stdout.write(text)
     return 0
@@ -218,9 +203,7 @@ def cmd_eval(args) -> int:
     _, query_labels = read_labels(args.query_labels)
     tax = read_taxonomy(args.taxonomy)
 
-    ns = _int_list(args.ns, "--ns")
-    _check_threads(args)
-    report = eval_queries(db, db_labels, qdb, query_labels, tax, mode=args.mode, ns=ns)
+    report = eval_queries(db, db_labels, qdb, query_labels, tax, mode=args.mode, ns=args.ns)
 
     prefix = str(args.out_prefix)
     write_csv(prefix + ".metrics.csv", ["query_id", "n", "metric", "value"],
@@ -234,7 +217,7 @@ def cmd_eval(args) -> int:
     write_csv(prefix + ".wr_vs_radius.csv", ["radius", "mean_weighted_recall"],
               [(repr(r), repr(v)) for r, v in
                zip(report.radii.tolist(), report.wr_by_radius.tolist())])
-    _write_manifest(prefix, "eval", args)
+    _write_manifest(prefix, args)
 
     for metric in sorted(METRIC_NAMES):
         for n in sorted(set(report.ns)):
@@ -283,21 +266,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        config = SyntheticConfig(
-            n_super=_number(args.supers, "--supers"),
-            n_sub=_number(args.subs, "--subs"),
-            dim=_number(args.dim, "--dim"),
-            n_train=_number(args.n_train, "--n-train"),
-            n_query=_number(args.n_query, "--n-query"),
-            super_std=_number(args.super_std, "--super-std", float),
-            sub_std=_number(args.sub_std, "--sub-std", float),
-            noise_std=_number(args.noise_std, "--noise-std", float),
-            scale=_number(args.scale, "--scale", float),
-            seed=_number(args.seed, "--seed"),
-        )
-    except ValueError as exc:
-        raise InvalidNumber(str(exc)) from None
+    config = SyntheticConfig(
+        n_super=args.supers, n_sub=args.subs, dim=args.dim, n_train=args.n_train,
+        n_query=args.n_query, super_std=args.super_std, sub_std=args.sub_std,
+        noise_std=args.noise_std, scale=args.scale, seed=args.seed)
     data = generate(config)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
@@ -308,7 +280,7 @@ def cmd_gen(args) -> int:
     write_features(os.path.join(out, "query.shdf"), data.query_features)
     write_labels(os.path.join(out, "query_labels.tsv"),
                  range(len(data.query_labels)), data.query_labels)
-    _write_manifest(os.path.join(out, "gen"), "gen", args)
+    _write_manifest(os.path.join(out, "gen"), args)
     print(f"wrote {config.n_train} train / {config.n_query} query items to {out}")
     return 0
 
@@ -325,6 +297,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--version", action="version", version=f"shdh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     registry = {}
+    # Checked, not used: one numpy pass per query is as fast on one thread as
+    # on several. An empty SHDH_THREADS is ignored.
+    threads = dict(type=_number("--threads/SHDH_THREADS", minimum=1),
+                   default=os.environ.get("SHDH_THREADS") or None,
+                   help="accepted and checked, not used (default $SHDH_THREADS)")
 
     p = registry["train"] = sub.add_parser(
         "train", help="learn a hash model from features + labels + taxonomy")
@@ -333,14 +310,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--labels", required=True, help="item-id<TAB>leaf-label file")
     p.add_argument("--taxonomy", required=True, help="parent<TAB>child edge list")
     p.add_argument("--out", required=True, help="output model file (SHDM)")
-    p.add_argument("--bits", default=32, help="code length L")
+    p.add_argument("--bits", type=_number("--bits"), default=32, help="code length L")
     p.add_argument("--scheme", default="effective", choices=SCHEMES)
-    p.add_argument("--hidden", default="512,512", help="hidden widths, comma-separated")
-    p.add_argument("--iters", default=200, help="SGD iterations T")
-    p.add_argument("--batch", default=128, help="minibatch size")
-    p.add_argument("--alpha", default=1.0, help="entropy-term weight")
-    p.add_argument("--eta0", default=0.01, help="initial step size")
-    p.add_argument("--seed", default=0)
+    p.add_argument("--hidden", type=_number("--hidden", many=True), default="512,512",
+                   help="hidden widths, comma-separated")
+    p.add_argument("--iters", type=_number("--iters"), default=200, help="SGD iterations T")
+    p.add_argument("--batch", type=_number("--batch"), default=128, help="minibatch size")
+    p.add_argument("--alpha", type=_number("--alpha", float), default=1.0,
+                   help="entropy-term weight")
+    p.add_argument("--eta0", type=_number("--eta0", float), default=0.01, help="initial step size")
+    p.add_argument("--seed", type=_number("--seed"), default=0)
     p.add_argument("--trainlog", help="training-log CSV (default <out>.trainlog.csv)")
     p.set_defaults(func=cmd_train)
 
@@ -354,14 +333,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = registry["query"] = sub.add_parser("query", help="rank database codes for one or more queries")
     p.add_argument("--config")
     p.add_argument("--codes", required=True, help="SHDC code database")
-    p.add_argument("--query-id", action="append",
+    p.add_argument("--query-id", action="append", type=_number("--query-id"),
                    help="database row to use as the query (repeatable)")
     p.add_argument("--query-features", help="SHDF file of query feature rows")
     p.add_argument("--model", help="SHDM model, needed with --query-features")
-    p.add_argument("--n", default=10, help="number of results per query")
+    p.add_argument("--n", type=_number("--n", minimum=1), default=10,
+                   help="number of results per query")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force scan instead of the integer-key kernel")
-    p.add_argument("--threads", help="accepted and checked, not used")
+    p.add_argument("--threads", **threads)
     p.add_argument("--out", help="ranked TSV output (default stdout)")
     p.set_defaults(func=cmd_query)
 
@@ -373,8 +353,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--query-labels", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--mode", default="shared-layers", choices=MODES)
-    p.add_argument("--ns", default="100", help="cutoffs, comma-separated")
-    p.add_argument("--threads", help="accepted and checked, not used")
+    p.add_argument("--ns", type=_number("--ns", many=True), default="100",
+                   help="cutoffs, comma-separated")
+    p.add_argument("--threads", **threads)
     p.add_argument("--out-prefix", required=True,
                    help="prefix for .metrics.csv/.summary.json/.wr_vs_*.csv")
     p.set_defaults(func=cmd_eval)
@@ -386,16 +367,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = registry["gen"] = sub.add_parser("gen", help="generate a synthetic hierarchical Gaussian dataset")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--supers", default=4, help="number of superclasses")
-    p.add_argument("--subs", default=4, help="subclasses per superclass")
-    p.add_argument("--dim", default=64)
-    p.add_argument("--n-train", default=2000)
-    p.add_argument("--n-query", default=200)
-    p.add_argument("--super-std", default=3.0)
-    p.add_argument("--sub-std", default=1.5)
-    p.add_argument("--noise-std", default=0.5)
-    p.add_argument("--scale", default=1.0)
-    p.add_argument("--seed", default=0)
+    p.add_argument("--supers", type=_number("--supers"), default=4, help="number of superclasses")
+    p.add_argument("--subs", type=_number("--subs"), default=4, help="subclasses per superclass")
+    p.add_argument("--dim", type=_number("--dim"), default=64)
+    p.add_argument("--n-train", type=_number("--n-train"), default=2000)
+    p.add_argument("--n-query", type=_number("--n-query"), default=200)
+    p.add_argument("--super-std", type=_number("--super-std", float), default=3.0)
+    p.add_argument("--sub-std", type=_number("--sub-std", float), default=1.5)
+    p.add_argument("--noise-std", type=_number("--noise-std", float), default=0.5)
+    p.add_argument("--scale", type=_number("--scale", float), default=1.0)
+    p.add_argument("--seed", type=_number("--seed"), default=0)
     p.set_defaults(func=cmd_gen)
 
     return parser, registry

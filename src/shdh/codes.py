@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodeTooShort, ModelFeatureDimMismatch, NonFiniteInput, ShapeMismatch
+from .errors import CodeTooLong, CodeTooShort, ModelFeatureDimMismatch, NonFiniteInput, ShapeMismatch
 from .hierarchy import layer_weights
 
 SCHEME_EFFECTIVE = "effective"
@@ -86,6 +86,8 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
     n_seg = K if scheme == SCHEME_PAPER_LITERAL else K - 1
     if L <= n_seg:
         raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
+    if L > 0xFFFF:  # the L field of the SHDC/SHDM layout block is a u16
+        raise CodeTooLong(f"{L} bits exceed 65535, the most an SHDC/SHDM header can record")
     base = L // n_seg
     widths = [base] * (n_seg - 1) + [L - base * (n_seg - 1)]
     first_layer = 1 if scheme == SCHEME_PAPER_LITERAL else 2

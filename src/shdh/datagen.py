@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidNumber
 from .hierarchy import Taxonomy
 
 
@@ -33,12 +34,14 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.n_super < 1 or self.n_sub < 1 or self.dim < 1:
-            raise ValueError("n_super, n_sub, and dim must be >= 1")
+            raise InvalidNumber("n_super, n_sub, and dim must be >= 1")
         if self.n_train < 1 or self.n_query < 0:
-            raise ValueError("need n_train >= 1 and n_query >= 0")
+            raise InvalidNumber("need n_train >= 1 and n_query >= 0")
         for name in ("super_std", "sub_std", "noise_std"):
             if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise InvalidNumber(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InvalidNumber(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

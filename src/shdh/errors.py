@@ -65,6 +65,10 @@ class CodeTooShort(ValidationError):
     code = "CODE_TOO_SHORT"
 
 
+class CodeTooLong(ValidationError):
+    code = "CODE_TOO_LONG"
+
+
 class ShapeMismatch(ValidationError):
     code = "SHAPE_MISMATCH"
 
@@ -111,7 +115,7 @@ class RankTooLarge(ValidationError):
     code = "RANK_TOO_LARGE"
 
 
-# --- command line ------------------------------------------------------------
+# --- numeric settings: flags, config values, TrainConfig, SyntheticConfig ---
 
 class InvalidNumber(ValidationError):
     code = "INVALID_NUMBER"

@@ -19,6 +19,7 @@ import numpy as np
 from .codes import Architecture, HashModel, SegmentLayout, forward, init_model
 from .errors import (
     EmptyDataset,
+    InvalidNumber,
     NonFiniteGradient,
     NonFiniteInput,
     ShapeMismatch,
@@ -40,13 +41,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+            raise InvalidNumber("iters must be >= 1")
         if self.batch < 2:
-            raise ValueError("batch must be >= 2 (pairwise loss needs pairs)")
+            raise InvalidNumber("batch must be >= 2 (pairwise loss needs pairs)")
         if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+            raise InvalidNumber("eta0 must be positive")
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise InvalidNumber("alpha must be >= 0")
+        if self.seed < 0:
+            raise InvalidNumber(f"seed must be >= 0, got {self.seed}")
 
     def eta_at(self, t: int) -> float:
         """Step size at 0-based iteration t: eta0 * ETA_DECAY^floor(t / ETA_DECAY_EVERY)."""

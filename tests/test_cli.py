@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shdh.cli import main
+from shdh.cli import build_parser, main
 from shdh.codes import CodeDatabase, segment_layout
 from shdh.io import (
     read_codes,
@@ -81,7 +81,13 @@ class TestGen:
         assert (dataset / "taxonomy.tsv").exists()
         manifest = json.loads((dataset / "gen.manifest.json").read_text())
         assert manifest["command"] == "gen"
-        assert manifest["effective_config"]["seed"] == "5"
+        assert manifest["effective_config"]["seed"] == 5
+
+    def test_config_supplies_required_out_dir(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"out-dir={tmp_path / 'g'}\nn-train=20\nn-query=4\ndim=3\n")
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert read_features(tmp_path / "g" / "train.shdf").shape == (20, 3)
 
 
 class TestTrain:
@@ -163,10 +169,30 @@ class TestTrain:
         ])
         assert rc == 0
         manifest = json.loads((tmp_path / "m.shdm.manifest.json").read_text())
-        assert manifest["effective_config"]["iters"] == "6"
-        assert manifest["effective_config"]["bits"] == "16"
+        assert manifest["effective_config"]["iters"] == 6
+        assert manifest["effective_config"]["bits"] == 16
+        assert manifest["effective_config"]["hidden"] == [8]
         log_lines = (tmp_path / "m.shdm.trainlog.csv").read_text().splitlines()
         assert len(log_lines) == 7
+
+    def test_config_supplies_required_options(self, dataset, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"features={dataset / 'train.shdf'}\nlabels={dataset / 'train_labels.tsv'}\n"
+                       f"taxonomy={dataset / 'taxonomy.tsv'}\nout={tmp_path / 'm.shdm'}\n"
+                       "bits=16\nhidden=8\niters=3\nbatch=16\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert read_model(tmp_path / "m.shdm").layout.L == 16
+
+    def test_code_too_long_exit_3(self, dataset, tmp_path, capsys):
+        # the SHDM layout block stores L as a u16
+        rc = main(["train", "--features", str(dataset / "train.shdf"),
+                   "--labels", str(dataset / "train_labels.tsv"),
+                   "--taxonomy", str(dataset / "taxonomy.tsv"),
+                   "--bits", "70000", "--hidden", "4", "--iters", "1", "--batch", "16",
+                   "--out", str(tmp_path / "m.shdm")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("CODE_TOO_LONG: ")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key", ["iter", "colour"])
     def test_config_key_no_command_takes_exit_2(self, dataset, tmp_path, capsys, key):
@@ -547,6 +573,7 @@ class TestNumericFlags:
     @pytest.mark.parametrize("flag,value", [
         ("--bits", "abc"), ("--hidden", "16,x"), ("--iters", "2.5"), ("--batch", ""),
         ("--alpha", "one"), ("--eta0", "nan"), ("--seed", "s"), ("--iters", "0"),
+        ("--seed", "-1"),
     ])
     def test_train(self, dataset, tmp_path, capsys, flag, value):
         argv = ["train", "--features", str(dataset / "train.shdf"),
@@ -554,13 +581,16 @@ class TestNumericFlags:
                 "--taxonomy", str(dataset / "taxonomy.tsv"),
                 "--bits", "16", "--hidden", "8", "--iters", "2", "--batch", "16",
                 "--out", str(tmp_path / "m.shdm"), flag, value]
-        self._expect_invalid(capsys, argv, "iters" if value == "0" else flag)
+        # range errors name the TrainConfig field: --iters 0 is iters
+        self._expect_invalid(capsys, argv, flag[2:] if value in ("0", "-1") else flag)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value", [
         ("--supers", "x"), ("--subs", "1.5"), ("--dim", "d"), ("--n-train", "many"),
         ("--n-query", "-"), ("--super-std", "abc"), ("--sub-std", "inf"),
         ("--noise-std", "?"), ("--scale", ""), ("--seed", "0x1"), ("--supers", "0"),
         ("--super-std", "-1"), ("--sub-std", "-1"), ("--noise-std", "-0.5"),
+        ("--seed", "-1"),
     ])
     def test_gen(self, tmp_path, capsys, flag, value):
         argv = ["gen", "--out-dir", str(tmp_path / "g"), flag, value]
@@ -578,9 +608,35 @@ class TestNumericFlags:
         self._expect_invalid(capsys, argv, flag)
 
     def test_query_threads_env(self, trained, capsys, monkeypatch):
-        monkeypatch.setenv("SHDH_THREADS", "x")
+        # one rule for --threads and SHDH_THREADS: an integer >= 1; empty is ignored
         argv = ["query", "--codes", str(trained / "db.shdc"), "--query-id", "0"]
-        self._expect_invalid(capsys, argv, "SHDH_THREADS")
+        for value in ("x", "0", "-3"):
+            monkeypatch.setenv("SHDH_THREADS", value)
+            self._expect_invalid(capsys, argv, "SHDH_THREADS")
+        monkeypatch.setenv("SHDH_THREADS", "")
+        assert main(argv) == 0
+
+    def test_config_value_converted_unless_flag_given(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bits=abc\nhidden=8\niters=2\nbatch=16\n")
+        argv = ["train", "--config", str(cfg), "--features", str(dataset / "train.shdf"),
+                "--labels", str(dataset / "train_labels.tsv"),
+                "--taxonomy", str(dataset / "taxonomy.tsv"), "--out", str(tmp_path / "m.shdm")]
+        self._expect_invalid(capsys, argv, "--bits")
+        assert main(argv + ["--bits", "16"]) == 0
+
+    def test_every_numeric_option_declares_a_type(self, monkeypatch):
+        # a numeric option parsed in a command body would skip the flag checks
+        monkeypatch.setenv("SHDH_THREADS", "1")
+        _, registry = build_parser()
+        for command, sub in registry.items():
+            for action in sub._actions:
+                default = action.default
+                numeric = (isinstance(default, (int, float)) and not isinstance(default, bool)
+                           or isinstance(default, str)
+                           and all(part.strip().isdigit() for part in default.split(",")))
+                if numeric:
+                    assert action.type is not None, f"{command} {action.option_strings}"
 
     def test_eval_ns(self, dataset, trained, tmp_path, capsys):
         argv = ["eval", "--db-codes", str(trained / "db.shdc"),

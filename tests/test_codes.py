@@ -20,7 +20,7 @@ from shdh.codes import (
     segment_masks,
     unpack_bits,
 )
-from shdh.errors import CodeTooShort, HeightTooSmall, NonFiniteInput, ShapeMismatch
+from shdh.errors import CodeTooLong, CodeTooShort, HeightTooSmall, NonFiniteInput, ShapeMismatch
 from shdh.hierarchy import layer_weights
 from shdh.index import distance_keys
 
@@ -64,6 +64,12 @@ class TestSegmentLayout:
             segment_layout(3, 4, "paper-literal")
         with pytest.raises(CodeTooShort):
             segment_layout(2, 3)
+
+    def test_code_too_long(self):
+        # the layout block of SHDC and SHDM files stores L as a u16
+        assert segment_layout(65535, 3).L == 65535
+        with pytest.raises(CodeTooLong):
+            segment_layout(65536, 3)
 
     def test_height_too_small(self):
         with pytest.raises(HeightTooSmall):

@@ -5,6 +5,7 @@ from shdh.codes import Architecture, HashModel, forward, init_model, segment_lay
 from shdh.datagen import SyntheticConfig, generate
 from shdh.errors import (
     EmptyDataset,
+    InvalidNumber,
     NonFiniteGradient,
     NonFiniteInput,
     ShapeMismatch,
@@ -335,12 +336,14 @@ class TestTrain:
         assert np.mean(losses[-10:]) < losses[0]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidNumber):
             TrainConfig(iters=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidNumber):
             TrainConfig(iters=1, batch=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidNumber):
             TrainConfig(iters=1, eta0=0.0)
+        with pytest.raises(InvalidNumber):
+            TrainConfig(iters=1, seed=-1)
 
 
 class TestBatchObjective:
