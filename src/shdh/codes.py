@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodeTooLong, CodeTooShort, ModelFeatureDimMismatch, NonFiniteInput, ShapeMismatch
+from .errors import (
+    CodeTooLong,
+    CodeTooShort,
+    HeightTooLarge,
+    ModelFeatureDimMismatch,
+    NonFiniteInput,
+    ShapeMismatch,
+)
 from .hierarchy import layer_weights
 
 SCHEME_EFFECTIVE = "effective"
@@ -88,6 +95,8 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
         raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
     if L > 0xFFFF:  # the L field of the SHDC/SHDM layout block is a u16
         raise CodeTooLong(f"{L} bits exceed 65535, the most an SHDC/SHDM header can record")
+    if K > 0xFF:  # and its K field a u8
+        raise HeightTooLarge(f"height {K} exceeds 255, the most an SHDC/SHDM header can record")
     base = L // n_seg
     widths = [base] * (n_seg - 1) + [L - base * (n_seg - 1)]
     first_layer = 1 if scheme == SCHEME_PAPER_LITERAL else 2
@@ -169,20 +178,31 @@ def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     Returns (output, activations) where activations[m] is the output of
     layer m+1; the last entry is the identity-activated hashing layer.
     """
+    return _forward(model, x)
+
+
+def _forward(model: HashModel, x: np.ndarray,
+             out: list[np.ndarray] | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`forward`, writing layer m+1's activations into the first n rows of
+    out[m] when out is given (float64, one array per layer, at least n rows
+    each); otherwise each layer gets one new array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.arch.d:
         raise ShapeMismatch(f"expected n x {model.arch.d} features, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteInput("features contain NaN or infinity")
 
+    n = x.shape[0]
     activations = []
     phi = x
     last = model.n_layers - 1
     for m in range(model.n_layers):
-        z = phi @ model.W[m].T + model.v[m]
-        phi = z if m == last else np.maximum(z, 0.0)
+        phi = np.matmul(phi, model.W[m].T, out=None if out is None else out[m][:n])
+        phi += model.v[m]
+        if m != last:
+            np.maximum(phi, 0.0, out=phi)
         activations.append(phi)
-    return activations[-1], activations
+    return phi, activations
 
 
 def pack_bits(layout: SegmentLayout, bits: np.ndarray) -> np.ndarray:
@@ -246,10 +266,11 @@ def quantize(relaxed: np.ndarray, layout: SegmentLayout) -> CodeDatabase:
 def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
     """Forward + quantize every row, preserving input order.
 
-    Rows go through `forward` in blocks of ENCODE_BLOCK, each widened to
-    float64 on its own and packed straight into the output, so memory grows
-    with the features and the packed codes, not with n times the hidden
-    widths.
+    Rows go through the network in blocks of ENCODE_BLOCK, each widened to
+    float64 on its own and packed straight into the output. Every block's
+    activations go into the same per-layer buffers, allocated once, so
+    memory grows with the features and the packed codes, not with n times
+    the hidden widths.
     """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != model.arch.d:
@@ -258,10 +279,9 @@ def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
             f"expected n x {model.arch.d} features, got shape {features.shape}")
     n = features.shape[0]
     packed = np.empty((n, model.layout.total_bytes), dtype=np.uint8)
+    out = [np.empty((min(n, ENCODE_BLOCK), w.shape[0])) for w in model.W]
     for start in range(0, n, ENCODE_BLOCK):
         rows = slice(start, start + ENCODE_BLOCK)
-        # `_` holds this block's activations until the next block's exist; freed
-        # at once, their pages go back to the OS and fault in again each block
-        relaxed, _ = forward(model, features[rows])
+        relaxed, _ = _forward(model, features[rows], out)
         packed[rows] = quantize(relaxed, model.layout).packed
     return CodeDatabase(layout=model.layout, packed=packed)

@@ -59,6 +59,10 @@ class HeightTooSmall(ValidationError):
     code = "HEIGHT_TOO_SMALL"
 
 
+class HeightTooLarge(ValidationError):
+    code = "HEIGHT_TOO_LARGE"
+
+
 # --- code layout / model ----------------------------------------------------
 
 class CodeTooShort(ValidationError):

@@ -44,9 +44,9 @@ class TrainConfig:
             raise InvalidNumber("iters must be >= 1")
         if self.batch < 2:
             raise InvalidNumber("batch must be >= 2 (pairwise loss needs pairs)")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:  # also rejects NaN
             raise InvalidNumber("eta0 must be positive")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise InvalidNumber("alpha must be >= 0")
         if self.seed < 0:
             raise InvalidNumber(f"seed must be >= 0, got {self.seed}")
@@ -101,7 +101,8 @@ def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: f
         gW[m] = delta.T @ below
         gv[m] = delta.sum(axis=0)
         if m > 0:
-            delta = (delta @ model.W[m]) * (activations[m - 1] > 0)
+            delta = delta @ model.W[m]
+            delta *= activations[m - 1] > 0
     return stats, gW, gv
 
 
@@ -138,13 +139,12 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, S: np.ndarray,
         raise NonFiniteGradient("training diverged; reduce eta or rescale the features")
     scale = _batch_scale(model.layout, m)
     stats = (J * scale, fit * scale, trace * scale)
-    updated = HashModel(
-        arch=model.arch,
-        layout=model.layout,
-        W=[w - eta * scale * g for w, g in zip(model.W, gW)],
-        v=[b - eta * scale * g for b, g in zip(model.v, gv)],
-    )
-    return updated, stats
+    # each gradient becomes its new parameter in place: g*(-c) + w is
+    # w - c*g to the bit, and the input model's arrays are only read
+    for g, w in zip(gW + gv, model.W + model.v):
+        g *= -(eta * scale)
+        g += w
+    return HashModel(arch=model.arch, layout=model.layout, W=gW, v=gv), stats
 
 
 def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from shdh.codes import (
     Architecture,
     CodeDatabase,
     HashModel,
+    _forward,
     encode_batch,
     forward,
     init_model,
@@ -20,9 +22,17 @@ from shdh.codes import (
     segment_masks,
     unpack_bits,
 )
-from shdh.errors import CodeTooLong, CodeTooShort, HeightTooSmall, NonFiniteInput, ShapeMismatch
+from shdh.errors import (
+    CodeTooLong,
+    CodeTooShort,
+    HeightTooLarge,
+    HeightTooSmall,
+    NonFiniteInput,
+    ShapeMismatch,
+)
 from shdh.hierarchy import layer_weights
 from shdh.index import distance_keys
+from shdh.io import read_codes, write_codes
 
 from conftest import make_layout
 from oracles import forward_rows_brute, signs
@@ -74,6 +84,17 @@ class TestSegmentLayout:
     def test_height_too_small(self):
         with pytest.raises(HeightTooSmall):
             segment_layout(8, 1)
+
+    def test_height_too_large(self, tmp_path):
+        # the layout block of SHDC and SHDM files stores K as a u8
+        layout = segment_layout(300, 255)
+        db = CodeDatabase(layout=layout, packed=np.full((2, layout.total_bytes), 0x01, np.uint8))
+        write_codes(tmp_path / "k255.shdc", db)
+        got = read_codes(tmp_path / "k255.shdc")
+        assert got.layout == layout
+        np.testing.assert_array_equal(got.packed, db.packed)
+        with pytest.raises(HeightTooLarge):
+            segment_layout(300, 256)
 
     def test_byte_alignment(self):
         layout = segment_layout(31, 3)  # widths (15, 16)
@@ -183,6 +204,22 @@ class TestForward:
         X = np.random.default_rng(6).normal(size=(20, 4))
         _, acts = forward(model, X)
         assert np.all(acts[0] >= 0) and np.all(acts[1] >= 0)
+
+    @pytest.mark.parametrize("n", [ENCODE_BLOCK, 17, 1])
+    def test_buffered_matches_unbuffered(self, n):
+        # encode_batch's buffers hold ENCODE_BLOCK rows; a short last block
+        # fills only their first n rows
+        layout = segment_layout(21, 3)
+        model = init_model(Architecture(d=5, hidden=(9, 7), L=21), layout, seed=8)
+        X = np.random.default_rng(n).normal(size=(n, 5)).astype(np.float32)
+        out = [np.full((ENCODE_BLOCK, w.shape[0]), np.nan) for w in model.W]
+        relaxed, acts = _forward(model, X, out)
+        want_relaxed, want = forward(model, X)
+        assert relaxed.tobytes() == want_relaxed.tobytes()
+        assert len(acts) == len(want) == model.n_layers
+        for got, expected, buf in zip(acts, want, out):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert np.shares_memory(got, buf)
 
 
 class TestQuantize:
@@ -354,6 +391,26 @@ class TestEncodeBatch:
         X[-1, -1] = np.nan
         with pytest.raises(NonFiniteInput):
             encode_batch(model, X)
+
+
+def test_encode_peak_is_one_block_of_activations():
+    # numpy reports its allocations to tracemalloc. Everything encode_batch
+    # allocates (activation buffers, each block's float64 copy of its
+    # features, bits, packed codes) stays below 1.25 x the activations of
+    # one block: 1024 x (512 + 512 + 32) float64, 8.25 MiB.
+    layout = segment_layout(32, 3)
+    model = init_model(Architecture(d=64, hidden=(512, 512), L=32), layout, seed=0)
+    n = 5 * ENCODE_BLOCK + 17
+    X = np.random.default_rng(0).standard_normal((n, 64), dtype=np.float32)
+    block_bytes = ENCODE_BLOCK * (512 + 512 + 32) * 8
+    tracemalloc.start()
+    try:
+        db = encode_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n
+    assert peak < 1.25 * block_bytes, f"encode peaked at {peak / block_bytes:.2f} blocks"
 
 
 # The child encodes 200 000 rows and prints its peak resident set (VmHWM)

@@ -13,6 +13,7 @@ from shdh.errors import (
 )
 from shdh.train import (
     TrainConfig,
+    _batch_scale,
     backprop_step,
     loss_terms,
     parameter_gradients,
@@ -216,6 +217,26 @@ class TestBackpropStep:
             assert a.tobytes() == b.tobytes()
         assert any(not np.array_equal(a, b) for a, b in zip(before, updated.W + updated.v))
 
+    def test_update_is_w_minus_scaled_gradient_bit_for_bit(self, toy3):
+        # widths (4, 5) and m = 6 make the batch scale 1 / (13/3 * 36), not
+        # a power of two, so regrouping the products changes some bits
+        layout = segment_layout(9, 3)
+        model = init_model(Architecture(d=3, hidden=(16, 12), L=9), layout, seed=4)
+        X = np.random.default_rng(5).normal(size=(6, 3))
+        S = toy3.similarity_matrix(
+            toy3.label_rows(["rose", "sun", "tiger", "oak", "rose", "tiger"]))
+        config = TrainConfig(iters=1, batch=6, alpha=0.7, seed=0)
+        eta, m = 0.3, 6
+        twin = HashModel(arch=model.arch, layout=layout,
+                         W=[w.copy() for w in model.W], v=[b.copy() for b in model.v])
+        _, gW, gv = parameter_gradients(twin, X, S, config.alpha * m)
+        scale = _batch_scale(layout, m)
+
+        updated, _ = backprop_step(model, X, S, config, eta)
+
+        for new, w, g in zip(updated.W + updated.v, twin.W + twin.v, gW + gv):
+            assert new.tobytes() == (w - (eta * scale) * g).tobytes()
+
     def test_matched_pair_leaves_only_trace_gradient(self, toy3):
         # when H A H^T = L*S exactly, the fit residual vanishes and only the
         # trace term drives the code gradient
@@ -344,6 +365,10 @@ class TestTrain:
             TrainConfig(iters=1, eta0=0.0)
         with pytest.raises(InvalidNumber):
             TrainConfig(iters=1, seed=-1)
+        with pytest.raises(InvalidNumber):
+            TrainConfig(iters=1, eta0=float("nan"))
+        with pytest.raises(InvalidNumber):
+            TrainConfig(iters=1, alpha=float("nan"))
 
 
 class TestBatchObjective:
