@@ -18,7 +18,7 @@ from .codes import (
     segment_layout,
 )
 from .errors import ShdhError
-from .hierarchy import Taxonomy, layer_weights, parse_taxonomy
+from .hierarchy import Taxonomy, layer_weights
 from .index import (
     SearchResult,
     brute_force_topn,
@@ -27,6 +27,7 @@ from .index import (
     search_topn,
     weighted_distance,
 )
+from .io import parse_taxonomy
 from .metrics import MetricReport, eval_queries
 from .train import (
     TrainConfig,

@@ -39,6 +39,8 @@ from .io import (
     read_labels,
     read_model,
     read_taxonomy,
+    read_text,
+    text_records,
     write_codes,
     write_csv,
     write_features,
@@ -97,21 +99,17 @@ def _load_config_defaults(argv, subparsers):
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return
-    from .io import read_text
 
     options: dict[str, list] = {}
     for sub in subparsers.values():
         for action in sub._actions:
             if action.option_strings and action.dest not in ("help", "config"):
                 options.setdefault(action.dest, []).append((sub, action))
-    for lineno, raw in enumerate(read_text(known.config).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, fields in text_records(read_text(known.config), "=", 1):
         where = f"{known.config} line {lineno}"
-        if "=" not in line:
+        if len(fields) != 2:
             raise FileFormatError(f"{where}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip() for part in fields)
         key = key.replace("-", "_")
         if key not in options:
             raise FileFormatError(f"{where}: no command takes the key {key!r}")
@@ -197,6 +195,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.ns:
+        raise InvalidNumber("--ns needs at least one cutoff")
     db = read_codes(args.db_codes)
     _, db_labels = read_labels(args.db_labels)
     qdb = read_codes(args.query_codes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidNumber
+from .errors import InvalidNumber, NonFiniteInput
 from .hierarchy import Taxonomy
 
 
@@ -91,6 +91,10 @@ def generate(config: SyntheticConfig) -> SyntheticData:
         classes = np.arange(n, dtype=np.int64) % n_classes
         rng.shuffle(classes)
         X = leaf_means[classes] + rng.normal(0.0, config.noise_std, size=(n, config.dim))
+        # checked before scaling, whose overflow would warn
+        peak = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
+        if not peak * abs(config.scale) <= float(np.finfo(np.float32).max):
+            raise NonFiniteInput(f"--scale {config.scale!r} carries features past the float32 range")
         X *= config.scale
         return X.astype(np.float32), [leaves[c] for c in classes]
 

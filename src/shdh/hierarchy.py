@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
-    DuplicateEdge,
-    EmptyInput,
-    FileFormatError,
     HeightTooSmall,
     MultipleRoots,
     RaggedLeafDepth,
@@ -74,50 +71,41 @@ class Taxonomy:
             raise MultipleRoots(f"expected exactly one root, found {len(roots)}")
         self.root = roots[0]
 
-        children: dict[str, list[str]] = {n: [] for n in parent}
         for node, par in parent.items():
-            if par is None:
-                continue
-            if par not in children:
+            if par is not None and par not in parent:
                 raise UnknownLabel(f"node {node!r} has parent {par!r}, which is not a node")
-            children[par].append(node)
 
-        # BFS from the root; unreachable nodes imply a parent loop.
-        depth = {self.root: 1}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for child in children[node]:
-                    depth[child] = depth[node] + 1
-                    nxt.append(child)
-            frontier = nxt
-        if len(depth) != len(parent):
+        # One upward walk from each leaf gives its ancestor chain. A walk longer
+        # than the node count has met a cycle; a node on no chain cannot be
+        # reached from the root.
+        has_child = set(parent.values())
+        leaf_list = sorted(n for n in parent if n not in has_child)
+        walks = []
+        for leaf in leaf_list:
+            walk = [leaf]
+            while (par := parent[walk[-1]]) is not None:
+                if len(walk) == len(parent):
+                    raise CycleDetected(f"the ancestors of {leaf!r} contain a cycle")
+                walk.append(par)
+            walks.append(walk[::-1])
+        if len({n for walk in walks for n in walk}) != len(parent):
             raise CycleDetected("some nodes are not reachable from the root")
 
-        self.K = max(depth.values())
+        self.K = max(len(walk) for walk in walks)
         if self.K < 2:
             raise HeightTooSmall("taxonomy has no layers below the root")
-        self.leaves = frozenset(n for n in parent if not children[n])
-        for leaf in self.leaves:
-            if depth[leaf] != self.K:
-                raise RaggedLeafDepth(
-                    f"leaf {leaf!r} at depth {depth[leaf]}, expected {self.K}"
-                )
+        for walk in walks:
+            if len(walk) != self.K:
+                raise RaggedLeafDepth(f"leaf {walk[-1]!r} at depth {len(walk)}, expected {self.K}")
+        self.leaves = frozenset(leaf_list)
 
         # sim_by_depth[d]: similarity of two leaves whose deepest common
         # ancestor sits at depth d
         self.sim_by_depth = _similarity_by_depth(self.K)
-        # Leaf ancestor chains as integer rows for vectorized similarity.
+        # Leaf ancestor chains, root first, as integer rows for vectorized similarity.
         node_ids = {n: i for i, n in enumerate(sorted(parent))}
-        leaf_list = sorted(self.leaves)
         self._leaf_row = {leaf: i for i, leaf in enumerate(leaf_list)}
-        chains = np.empty((len(leaf_list), self.K), dtype=np.int64)
-        for i, leaf in enumerate(leaf_list):
-            node = leaf
-            for k in range(self.K, 0, -1):
-                chains[i, k - 1] = node_ids[node]
-                node = parent[node]
+        chains = np.array([[node_ids[n] for n in walk] for walk in walks], dtype=np.int64)
         chains.setflags(write=False)
         self._leaf_chains = chains
 
@@ -161,32 +149,3 @@ class Taxonomy:
             )
         return self.sim_by_depth[self.shared_depths(rows[:, None], rows[None, :])]
 
-
-def parse_taxonomy(text: str) -> Taxonomy:
-    """Parse a tab-separated edge list ("parent<TAB>child" per line).
-
-    Lines starting with '#' and blank lines are ignored. The root is the
-    unique node that never appears as a child.
-    """
-    parent: dict[str, str | None] = {}
-    seen_children: set[str] = set()
-    n_edges = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise FileFormatError(
-                f"line {lineno}: expected 'parent<TAB>child', got {raw!r}"
-            )
-        par, child = parts
-        if child in seen_children:
-            raise DuplicateEdge(f"line {lineno}: node {child!r} already has a parent")
-        seen_children.add(child)
-        parent[child] = par
-        parent.setdefault(par, None)
-        n_edges += 1
-    if n_edges == 0:
-        raise EmptyInput("taxonomy file contains no edges")
-    return Taxonomy(parent)

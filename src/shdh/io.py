@@ -15,12 +15,14 @@ Every writer goes through a temp file plus rename, so interrupted runs
 never leave truncated artifacts. Readers reject bytes after the payload,
 layout headers that describe no layout, model layers that do not chain, and,
 in SHDC, nonzero padding bits: any bit outside `codes.segment_masks`.
+
+Text inputs (labels, taxonomy, key=value config) share one rule, owned by
+`read_text` and `text_records`: UTF-8, each line stripped, blank and '#'
+lines skipped, fields split on one separator.
 """
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import math
 import os
 import struct
@@ -40,8 +42,9 @@ from .codes import (
     segment_layout,
     segment_masks,
 )
-from .errors import CodeTooShort, FileFormatError, FileNotFound, HeightTooSmall, ShapeMismatch
-from .hierarchy import Taxonomy, parse_taxonomy
+from .errors import (CodeTooShort, DuplicateEdge, EmptyInput, FileFormatError, FileNotFound,
+                     HeightTooSmall, ShapeMismatch)
+from .hierarchy import Taxonomy
 from .train import TrainRecord
 
 FORMAT_VERSION = 1
@@ -236,10 +239,41 @@ def read_model(path) -> HashModel:
 
 def read_text(path) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except FileNotFoundError:
         raise FileNotFound(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                              f"at offset {exc.start}") from None
+
+
+def text_records(text: str, sep: str, maxsplit: int = -1):
+    """(line number, fields) for each line of `text` that is not blank or a
+    '#' comment once stripped; the fields are the stripped line split on sep."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split(sep, maxsplit)
+
+
+def parse_taxonomy(text: str) -> Taxonomy:
+    """Parse a tab-separated edge list ("parent<TAB>child" per line).
+
+    The root is the unique node that never appears as a child.
+    """
+    parent: dict[str, str | None] = {}
+    for lineno, fields in text_records(text, "\t"):
+        if len(fields) != 2:
+            raise FileFormatError(f"line {lineno}: expected 'parent<TAB>child', got {fields!r}")
+        par, child = fields
+        if parent.get(child) is not None:
+            raise DuplicateEdge(f"line {lineno}: node {child!r} already has a parent")
+        parent[child] = par
+        parent.setdefault(par, None)
+    if not parent:
+        raise EmptyInput("taxonomy file contains no edges")
+    return Taxonomy(parent)
 
 
 def read_taxonomy(path) -> Taxonomy:
@@ -256,15 +290,13 @@ def write_taxonomy(path, edges):
 def read_labels(path) -> tuple[list[str], list[str]]:
     """Labels file: one "item-id<TAB>leaf-label" per line. Returns (ids, labels)."""
     ids, labels = [], []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FileFormatError(f"{path} line {lineno}: expected 'id<TAB>label'")
-        ids.append(parts[0])
-        labels.append(parts[1])
+    for lineno, fields in text_records(read_text(path), "\t"):
+        try:  # unpacking checks the field count for less than len() per line
+            item_id, label = fields
+        except ValueError:
+            raise FileFormatError(f"{path} line {lineno}: expected 'id<TAB>label'") from None
+        ids.append(item_id)
+        labels.append(label)
     return ids, labels
 
 
@@ -283,9 +315,7 @@ def write_trainlog(path, log: list[TrainRecord]):
 
 
 def write_csv(path, header, rows):
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Comma-separated lines, unquoted: every field is a number, "" or a fixed name."""
     with atomic_write(path, "w") as f:
-        f.write(buf.getvalue())
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shdh.codes import Segment, SegmentLayout
-from shdh.hierarchy import parse_taxonomy
+from shdh.io import parse_taxonomy
 
 TOY3_TEXT = "root\tP\nroot\tA\nP\trose\nP\tsun\nA\ttiger\nA\toak\n"
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import shdh
 from shdh.cli import main
+from shdh.errors import ShdhError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +35,17 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     for block in blocks:
         exec(block.replace("iters=200", "iters=2"), namespace)
     assert namespace["report"].ns == [100] and len(namespace["curves"].wr_by_n) == 200
+
+
+def test_readme_exit_code_table_lists_every_error():
+    table = dict(re.findall(r"^\| `([A-Z_]+)` \| (\d) \|", README.read_text(), flags=re.M))
+
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+
+    codes = {cls.code: str(cls.exit_code) for cls in walk(ShdhError) if "code" in vars(cls)}
+    assert {code: table.get(code) for code in codes} == codes
+    # ERROR: a bare ValidationError; IO_ERROR: an OSError that cli.main catches
+    assert set(table) - set(codes) == {"ERROR", "IO_ERROR"}

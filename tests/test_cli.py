@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestGen:
         cfg.write_text(f"out-dir={tmp_path / 'g'}\nn-train=20\nn-query=4\ndim=3\n")
         assert main(["gen", "--config", str(cfg)]) == 0
         assert read_features(tmp_path / "g" / "train.shdf").shape == (20, 3)
+
+    @pytest.mark.parametrize("scale", ["1e39", "-1e39", "1e308"])
+    def test_scale_past_float32_exit_4(self, tmp_path, capsys, scale):
+        # rejected before any file is written, as train would reject the file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gen", "--out-dir", str(tmp_path / "g"), "--n-train", "50",
+                       f"--scale={scale}"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("NON_FINITE_INPUT: ") and "--scale" in err
+        assert not (tmp_path / "g").exists()
 
 
 class TestTrain:
@@ -509,6 +522,47 @@ class TestEval:
                     == (tmp_path / ("e2" + suffix)).read_bytes())
 
 
+class TestTextInputs:
+    """Labels, taxonomy and --config files share one text rule (see shdh.io)."""
+
+    @pytest.mark.parametrize("command, which", [
+        ("train", "labels"), ("train", "taxonomy"), ("train", "config"),
+        ("eval", "db-labels"), ("eval", "query-labels"), ("eval", "taxonomy"),
+        ("eval", "config"),
+    ])
+    def test_not_utf8_exit_2(self, dataset, trained, tmp_path, capsys, command, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# fine\n0\t\xffx\n")
+        if command == "train":
+            files = {"features": dataset / "train.shdf", "labels": dataset / "train_labels.tsv",
+                     "taxonomy": dataset / "taxonomy.tsv", "out": tmp_path / "out.shdm"}
+            extra = ["--bits", "16", "--hidden", "8", "--iters", "2", "--batch", "16"]
+        else:
+            files = {"db-codes": trained / "db.shdc", "db-labels": dataset / "train_labels.tsv",
+                     "query-codes": trained / "q.shdc",
+                     "query-labels": dataset / "query_labels.tsv",
+                     "taxonomy": dataset / "taxonomy.tsv", "out-prefix": tmp_path / "out"}
+            extra = []
+        files[which] = bad
+        argv = [command, *extra] + [arg for key, path in files.items()
+                                    for arg in (f"--{key}", str(path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BAD_FILE_FORMAT: ")
+        assert f"{bad}: not UTF-8: byte 0xff at offset 9" in err
+        assert not any(tmp_path.glob("out*"))
+
+    def test_crlf_config_reads_like_lf(self, tmp_path):
+        for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+            lines = ["# a gen run", f"out-dir={tmp_path / name}", "n-train = 20", "",
+                     "n-query=4", "dim=3", "seed=4"]
+            (tmp_path / f"{name}.cfg").write_bytes(end.join(lines).encode() + end.encode())
+            assert main(["gen", "--config", str(tmp_path / f"{name}.cfg")]) == 0
+        for artifact in ("taxonomy.tsv", "train.shdf", "train_labels.tsv", "query.shdf"):
+            assert (tmp_path / "crlf" / artifact).read_bytes() == \
+                (tmp_path / "lf" / artifact).read_bytes()
+
+
 class TestInspect:
     def test_each_format(self, dataset, trained, capsys):
         for path, fmt in [(dataset / "train.shdf", "SHDF"),
@@ -646,3 +700,23 @@ class TestNumericFlags:
                 "--taxonomy", str(dataset / "taxonomy.tsv"),
                 "--ns", "10,abc", "--out-prefix", str(tmp_path / "e")]
         self._expect_invalid(capsys, argv, "--ns")
+
+    @pytest.mark.parametrize("ns", [",", ""])
+    def test_eval_ns_empty(self, tmp_path, capsys, ns):
+        # caught before any file is read: none of these files exist
+        argv = ["eval", "--db-codes", str(tmp_path / "db.shdc"),
+                "--db-labels", str(tmp_path / "db.tsv"),
+                "--query-codes", str(tmp_path / "q.shdc"),
+                "--query-labels", str(tmp_path / "q.tsv"),
+                "--taxonomy", str(tmp_path / "t.tsv"),
+                "--ns", ns, "--out-prefix", str(tmp_path / "e")]
+        self._expect_invalid(capsys, argv, "--ns")
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_hidden_is_a_linear_model(self, dataset, tmp_path):
+        assert main(["train", "--features", str(dataset / "train.shdf"),
+                     "--labels", str(dataset / "train_labels.tsv"),
+                     "--taxonomy", str(dataset / "taxonomy.tsv"), "--bits", "16",
+                     "--hidden", "", "--iters", "2", "--batch", "16",
+                     "--out", str(tmp_path / "m.shdm")]) == 0
+        assert read_model(tmp_path / "m.shdm").arch.hidden == ()

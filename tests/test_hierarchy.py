@@ -11,7 +11,8 @@ from shdh.errors import (
     SimilarityCapExceeded,
     UnknownLabel,
 )
-from shdh.hierarchy import DEFAULT_MATRIX_CAP, Taxonomy, layer_weights, parse_taxonomy
+from shdh.hierarchy import DEFAULT_MATRIX_CAP, Taxonomy, layer_weights
+from shdh.io import parse_taxonomy
 
 from oracles import (
     hier_similarity_brute,

@@ -205,6 +205,25 @@ class TestTextFiles:
         with pytest.raises(FileFormatError):
             read_labels(path)
 
+    def test_crlf_reads_like_lf(self, tmp_path):
+        labels = "# ids and leaves\ni0\trose\n\ni1\ttiger\n"
+        for name, text in (("labels", labels), ("tax", TOY3_TEXT)):
+            (tmp_path / f"{name}.lf").write_bytes(text.encode())
+            (tmp_path / f"{name}.crlf").write_bytes(text.replace("\n", "\r\n").encode())
+        assert read_labels(tmp_path / "labels.crlf") == read_labels(tmp_path / "labels.lf") \
+            == (["i0", "i1"], ["rose", "tiger"])
+        lf, crlf = read_taxonomy(tmp_path / "tax.lf"), read_taxonomy(tmp_path / "tax.crlf")
+        assert (crlf.root, crlf.K, crlf.leaves) == (lf.root, lf.K, lf.leaves)
+        np.testing.assert_array_equal(crlf._leaf_chains, lf._leaf_chains)
+
+    @pytest.mark.parametrize("reader", [read_labels, read_taxonomy])
+    def test_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"root\ta\n\xe9\tb\n")
+        with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: not UTF-8: "
+                                                  "byte 0xe9 at offset 7"):
+            reader(path)
+
 
 class TestTrainLogCsv:
     def test_written_and_parseable(self, tmp_path):
