@@ -151,6 +151,11 @@ class HashModel:
     def n_layers(self) -> int:
         return len(self.W)
 
+    def astype(self, dtype) -> HashModel:
+        """This model with every W and v copied to dtype."""
+        return HashModel(arch=self.arch, layout=self.layout,
+                         W=[w.astype(dtype) for w in self.W], v=[b.astype(dtype) for b in self.v])
+
 
 def init_model(arch: Architecture, layout: SegmentLayout, seed) -> HashModel:
     """Fresh model: hashing layer uniform in [0, 0.001), hidden layers
@@ -177,6 +182,8 @@ def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 
     Returns (output, activations) where activations[m] is the output of
     layer m+1; the last entry is the identity-activated hashing layer.
+    The network computes in the dtype of the model's arrays: float64 for
+    a model read from SHDM, float32 inside `train`.
     """
     return _forward(model, x)
 
@@ -184,9 +191,11 @@ def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 def _forward(model: HashModel, x: np.ndarray,
              out: list[np.ndarray] | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """`forward`, writing layer m+1's activations into the first n rows of
-    out[m] when out is given (float64, one array per layer, at least n rows
-    each); otherwise each layer gets one new array."""
-    x = np.asarray(x, dtype=np.float64)
+    out[m] when out is given (the model's dtype, one array per layer, at
+    least n rows each); otherwise each layer gets one new array. x is
+    converted to the model's dtype, which copies it unless it has that
+    dtype already."""
+    x = np.asarray(x, dtype=model.W[0].dtype)
     if x.ndim != 2 or x.shape[1] != model.arch.d:
         raise ShapeMismatch(f"expected n x {model.arch.d} features, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -266,11 +275,11 @@ def quantize(relaxed: np.ndarray, layout: SegmentLayout) -> CodeDatabase:
 def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
     """Forward + quantize every row, preserving input order.
 
-    Rows go through the network in blocks of ENCODE_BLOCK, each widened to
-    float64 on its own and packed straight into the output. Every block's
-    activations go into the same per-layer buffers, allocated once, so
-    memory grows with the features and the packed codes, not with n times
-    the hidden widths.
+    Rows go through the network in blocks of ENCODE_BLOCK, each copied
+    into one input buffer of the model's dtype and packed straight into the
+    output. Every block's input and activations go into the same buffers,
+    allocated once, so memory grows with the features and the packed
+    codes, not with n times the hidden widths.
     """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != model.arch.d:
@@ -279,9 +288,13 @@ def encode_batch(model: HashModel, features: np.ndarray) -> CodeDatabase:
             f"expected n x {model.arch.d} features, got shape {features.shape}")
     n = features.shape[0]
     packed = np.empty((n, model.layout.total_bytes), dtype=np.uint8)
-    out = [np.empty((min(n, ENCODE_BLOCK), w.shape[0])) for w in model.W]
+    block_rows, dtype = min(n, ENCODE_BLOCK), model.W[0].dtype
+    x = np.empty((block_rows, model.arch.d), dtype=dtype)
+    out = [np.empty((block_rows, w.shape[0]), dtype=dtype) for w in model.W]
     for start in range(0, n, ENCODE_BLOCK):
         rows = slice(start, start + ENCODE_BLOCK)
-        relaxed, _ = _forward(model, features[rows], out)
+        block = x[:min(ENCODE_BLOCK, n - start)]
+        np.copyto(block, features[rows])
+        relaxed, _ = _forward(model, block, out)
         packed[rows] = quantize(relaxed, model.layout).packed
     return CodeDatabase(layout=model.layout, packed=packed)

@@ -17,8 +17,9 @@ layout headers that describe no layout, model layers that do not chain, and,
 in SHDC, nonzero padding bits: any bit outside `codes.segment_masks`.
 
 Text inputs (labels, taxonomy, key=value config) share one rule, owned by
-`read_text` and `text_records`: UTF-8, each line stripped, blank and '#'
-lines skipped, fields split on one separator.
+`read_text` and `text_records`: UTF-8 with an optional byte-order mark,
+each line stripped, blank and '#' lines skipped, fields split on one
+separator.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .codes import (
     segment_masks,
 )
 from .errors import (CodeTooShort, DuplicateEdge, EmptyInput, FileFormatError, FileNotFound,
-                     HeightTooSmall, ShapeMismatch)
+                     HeightTooSmall, ShapeMismatch, ShdhError)
 from .hierarchy import Taxonomy
 from .train import TrainRecord
 
@@ -240,7 +241,7 @@ def read_model(path) -> HashModel:
 def read_text(path) -> str:
     try:
         with open(path, "rb") as f:
-            return f.read().decode("utf-8")
+            return f.read().decode("utf-8-sig")  # a leading byte-order mark is dropped
     except FileNotFoundError:
         raise FileNotFound(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
@@ -277,7 +278,12 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
 
 def read_taxonomy(path) -> Taxonomy:
-    return parse_taxonomy(read_text(path))
+    """parse_taxonomy on a file; its errors keep their class and gain the path."""
+    text = read_text(path)
+    try:
+        return parse_taxonomy(text)
+    except ShdhError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_taxonomy(path, edges):

@@ -89,10 +89,14 @@ def parameter_gradients(model: HashModel, X: np.ndarray, S: np.ndarray, alpha: f
 
     Returns (stats, gW, gv) with stats = (loss, fit, trace). Hidden-layer
     deltas are masked by the rectifier derivative (1 where the activation
-    is positive); the identity output layer has an all-ones mask.
+    is positive); the identity output layer has an all-ones mask. The
+    network and its gradients are in the model's dtype; the loss and dJ/dH
+    are float64 (loss_terms), and dJ/dH is cast to the model's dtype.
     """
+    X = np.asarray(X, dtype=model.W[0].dtype)
     Htilde, activations = forward(model, X)
     stats, delta = loss_terms(Htilde, S, model.layout, alpha)
+    delta = delta.astype(X.dtype, copy=False)
 
     gW = [None] * model.n_layers
     gv = [None] * model.n_layers
@@ -125,10 +129,11 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, S: np.ndarray,
     """One SGD update on a batch. Returns (updated model, (loss, fit, trace)).
 
     S is the batch's m x m similarity matrix (Taxonomy.similarity_matrix);
-    the loss and its gradient are the batch-normalized objective. The input
-    model is not mutated.
+    the loss and its gradient are the batch-normalized objective. The batch
+    is taken in the model's dtype, and the updated model keeps that dtype;
+    the stats are float64. The input model is not mutated.
     """
-    X = np.asarray(X_batch, dtype=np.float64)
+    X = np.asarray(X_batch, dtype=model.W[0].dtype)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ShapeMismatch("batch must be a 2-D array with at least 2 rows")
     m = X.shape[0]
@@ -151,8 +156,12 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
           layout: SegmentLayout, config: TrainConfig) -> tuple[HashModel, list[TrainRecord]]:
     """Algorithm: init the model, then T iterations of sample-batch + SGD step,
     with eta multiplied by ETA_DECAY every ETA_DECAY_EVERY iterations.
-    Returns the model and one TrainRecord per iteration. The features keep
-    their own dtype; backprop_step widens each batch to float64."""
+    Returns the model and one TrainRecord per iteration.
+
+    The network trains in float32: init_model's float64 draw is cast to
+    float32, each batch is taken in float32, and the trained model is
+    widened to float64 on return, the dtype SHDM stores and encode computes
+    in. The loss and its gradient in the codes stay float64 (loss_terms)."""
     features = np.asarray(features)
     n = features.shape[0] if features.ndim == 2 else 0
     if len(labels) != n:
@@ -161,10 +170,12 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
         raise EmptyDataset(f"need at least 2 training items, got {n}")
     if not np.isfinite(features).all():
         raise NonFiniteInput("training features contain NaN or infinity")
+    if features.dtype != np.float32 and np.abs(features).max() > np.finfo(np.float32).max:
+        raise NonFiniteInput("training features exceed the float32 range the network trains in")
     rows = tax.label_rows(labels)
 
     seed_init, seed_sample = np.random.SeedSequence(config.seed).spawn(2)
-    model = init_model(arch, layout, seed_init)
+    model = init_model(arch, layout, seed_init).astype(np.float32)
     rng = np.random.default_rng(seed_sample)
     batch_size = min(config.batch, n)
 
@@ -176,4 +187,4 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
             model, features[idx], tax.similarity_matrix(rows[idx]), config, eta
         )
         log.append(TrainRecord(iteration=t, eta=eta, loss=J, fit=fit, trace=trace))
-    return model, log
+    return model.astype(np.float64), log

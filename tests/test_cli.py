@@ -552,6 +552,25 @@ class TestTextInputs:
         assert f"{bad}: not UTF-8: byte 0xff at offset 9" in err
         assert not any(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("text, code, where", [
+        ("root\ta\nroot\tb\tc\n", "BAD_FILE_FORMAT", "line 2: expected 'parent<TAB>child'"),
+        ("root\ta\nroot\tb\na\tx\nb\tx\n", "DUPLICATE_EDGE", "line 4: node 'x'"),
+    ])
+    def test_taxonomy_error_names_the_file(self, dataset, tmp_path, capsys, text, code, where):
+        tax = tmp_path / "t.tsv"
+        tax.write_text(text)
+        assert main(["train", "--features", str(dataset / "train.shdf"),
+                     "--labels", str(dataset / "train_labels.tsv"), "--taxonomy", str(tax),
+                     "--out", str(tmp_path / "m.shdm")]) == 2
+        assert capsys.readouterr().err.startswith(f"{code}: {tax}: {where}")
+
+    def test_config_byte_order_mark_dropped(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn-train=20\n" + f"out-dir={tmp_path / 'data'}\n".encode()
+                        + b"n-query=4\ndim=3\n")
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert read_features(tmp_path / "data" / "train.shdf").shape == (20, 3)
+
     def test_crlf_config_reads_like_lf(self, tmp_path):
         for name, end in (("lf", "\n"), ("crlf", "\r\n")):
             lines = ["# a gen run", f"out-dir={tmp_path / name}", "n-train = 20", "",

@@ -205,6 +205,15 @@ class TestForward:
         _, acts = forward(model, X)
         assert np.all(acts[0] >= 0) and np.all(acts[1] >= 0)
 
+    def test_float32_model_computes_in_float32(self):
+        layout = segment_layout(8, 3)
+        model = init_model(Architecture(d=4, hidden=(16, 8), L=8), layout, seed=5)
+        X = np.random.default_rng(6).normal(size=(20, 4))
+        out, acts = forward(model.astype(np.float32), X)
+        assert out.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in acts)
+        np.testing.assert_allclose(out, forward(model, X)[0], rtol=1e-5, atol=1e-6)
+
     @pytest.mark.parametrize("n", [ENCODE_BLOCK, 17, 1])
     def test_buffered_matches_unbuffered(self, n):
         # encode_batch's buffers hold ENCODE_BLOCK rows; a short last block
@@ -355,6 +364,13 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(encode_batch(model, X).packed,
                                       encode_batch(model, X).packed)
 
+    def test_float32_features_encode_as_their_float64_values(self):
+        # each block is copied into a float64 input buffer; the copy is exact
+        model = self.random_model(3)
+        X = np.random.default_rng(8).normal(size=(ENCODE_BLOCK + 5, 5)).astype(np.float32)
+        assert (encode_batch(model, X).packed.tobytes()
+                == encode_batch(model, X.astype(np.float64)).packed.tobytes())
+
     @staticmethod
     def random_model(seed):
         """Normal weights, so that bits take both signs; L=21 splits into
@@ -395,8 +411,8 @@ class TestEncodeBatch:
 
 def test_encode_peak_is_one_block_of_activations():
     # numpy reports its allocations to tracemalloc. Everything encode_batch
-    # allocates (activation buffers, each block's float64 copy of its
-    # features, bits, packed codes) stays below 1.25 x the activations of
+    # allocates (activation buffers, the float64 input buffer, bits,
+    # packed codes) stays below 1.25 x the activations of
     # one block: 1024 x (512 + 512 + 32) float64, 8.25 MiB.
     layout = segment_layout(32, 3)
     model = init_model(Architecture(d=64, hidden=(512, 512), L=32), layout, seed=0)

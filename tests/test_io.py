@@ -216,6 +216,16 @@ class TestTextFiles:
         assert (crlf.root, crlf.K, crlf.leaves) == (lf.root, lf.K, lf.leaves)
         np.testing.assert_array_equal(crlf._leaf_chains, lf._leaf_chains)
 
+    def test_labels_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_bytes(b"\xef\xbb\xbfi0\trose\ni1\ttiger\n")
+        assert read_labels(path) == (["i0", "i1"], ["rose", "tiger"])
+
+    def test_taxonomy_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + TOY3_TEXT.encode())
+        assert read_taxonomy(path).root == "root"
+
     @pytest.mark.parametrize("reader", [read_labels, read_taxonomy])
     def test_not_utf8(self, tmp_path, reader):
         path = tmp_path / "t.tsv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -288,12 +290,14 @@ class TestTrain:
 
         model, log = train(X, labels, toy3, arch, layout, config)
 
+        # train steps a float32 copy of init_model's draw and widens the result
         seed_init, seed_sample = np.random.SeedSequence(11).spawn(2)
-        expected = init_model(arch, layout, seed_init)
+        expected = init_model(arch, layout, seed_init).astype(np.float32)
         rng = np.random.default_rng(seed_sample)
         idx = rng.choice(len(X), size=8, replace=False)
         S = toy3.similarity_matrix(toy3.label_rows([labels[i] for i in idx]))
         expected, stats = backprop_step(expected, X[idx], S, config, config.eta_at(0))
+        expected = expected.astype(np.float64)
         for a, b in zip(model.W + model.v, expected.W + expected.v):
             np.testing.assert_array_equal(a, b)
         assert len(log) == 1 and log[0].loss == stats[0]
@@ -389,3 +393,70 @@ class TestBatchObjective:
         assert J == raw_J * scale
         assert fit == raw_fit * scale
         assert trace == raw_trace * scale
+
+
+class TestFloat32Training:
+    """train runs the network in float32; loss_terms stays float64."""
+
+    def test_gradients_match_float64(self):
+        # the worst entry of each gradient, relative to the largest float64
+        # entry, differs by at most 1e-5 (float32 rounding gives about 4e-7)
+        rng = np.random.default_rng(3)
+        layout = segment_layout(12, 3)
+        arch = Architecture(d=8, hidden=(16, 12), L=12)
+        for seed in range(5):
+            model = init_model(arch, layout, seed=seed)
+            model.W[-1] = rng.normal(scale=0.3, size=model.W[-1].shape)
+            model.v[-1] = rng.normal(scale=0.3, size=model.v[-1].shape)
+            X = rng.normal(size=(16, 8))
+            M = rng.uniform(-1, 1, size=(16, 16))
+            S = (M + M.T) / 2
+            np.fill_diagonal(S, 1.0)
+            stats64, gW64, gv64 = parameter_gradients(model, X, S, 1.0)
+            stats32, gW32, gv32 = parameter_gradients(model.astype(np.float32), X, S, 1.0)
+            assert stats32[0] == pytest.approx(stats64[0], rel=1e-6)
+            for g32, g64 in zip(gW32 + gv32, gW64 + gv64):
+                assert g32.dtype == np.float32
+                assert np.abs(g32 - g64).max() / np.abs(g64).max() < 1e-5
+
+    def test_step_keeps_float32_and_stats_float64(self, toy3):
+        layout = segment_layout(4, 2)
+        model = init_model(Architecture(d=3, hidden=(4,), L=4), layout, seed=0)
+        X = np.random.default_rng(1).normal(size=(4, 3))
+        S = toy3.similarity_matrix(toy3.label_rows(["rose", "sun", "tiger", "oak"]))
+        updated, stats = backprop_step(model.astype(np.float32), X, S,
+                                       TrainConfig(iters=1, batch=4, seed=0), eta=0.01)
+        assert all(a.dtype == np.float32 for a in updated.W + updated.v)
+        assert all(type(x) is float for x in stats)
+
+    def test_train_returns_float64(self, toy3):
+        X = np.random.default_rng(3).normal(size=(40, 6)).astype(np.float32)
+        labels = ["rose", "sun", "tiger", "oak"] * 10
+        model, _ = train(X, labels, toy3, Architecture(d=6, hidden=(5,), L=8),
+                         segment_layout(8, 3), TrainConfig(iters=3, batch=8, seed=1))
+        assert all(a.dtype == np.float64 for a in model.W + model.v)
+
+    @pytest.mark.parametrize("weight", [1e10, 3e38])
+    def test_huge_weights_raise_without_warning(self, weight):
+        # 1e10 overflows only in the float32 cast of dJ/dH, 3e38 already in
+        # the forward pass; pyproject.toml makes a RuntimeWarning an error
+        layout = segment_layout(4, 2)
+        arch = Architecture(d=2, hidden=(3,), L=4)
+        model = HashModel(arch=arch, layout=layout,
+                          W=[np.full(dims, weight, np.float32) for dims in arch.layer_dims],
+                          v=[np.zeros(dims[0], np.float32) for dims in arch.layer_dims])
+        config = TrainConfig(iters=1, batch=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradient):
+                backprop_step(model, np.ones((2, 2)), np.ones((2, 2)), config, 0.01)
+
+    def test_features_past_float32_rejected(self, toy3):
+        X = np.random.default_rng(3).normal(size=(40, 6))
+        X[7, 2] = 1e39
+        labels = ["rose", "sun", "tiger", "oak"] * 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                train(X, labels, toy3, Architecture(d=6, hidden=(), L=8), segment_layout(8, 3),
+                      TrainConfig(iters=1, batch=8, seed=0))
