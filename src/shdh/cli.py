@@ -23,13 +23,13 @@ from .codes import (
 )
 from .datagen import SyntheticConfig, generate
 from .errors import (
+    BadQueryFlags,
     EmptyDatabase,
     FileFormatError,
     FileNotFound,
     InvalidNumber,
     ShdhError,
     UnknownQueryId,
-    ValidationError,
 )
 from .index import brute_force_topn, search_topn
 from .io import (
@@ -162,7 +162,7 @@ def cmd_query(args) -> int:
         raise EmptyDatabase(f"{args.codes} holds no codes")
 
     if args.query_id is not None and args.query_features:
-        raise ValidationError("give --query-id or --query-features, not both")
+        raise BadQueryFlags("give --query-id or --query-features, not both")
     queries = []
     if args.query_id is not None:
         for qid in args.query_id:
@@ -171,11 +171,11 @@ def cmd_query(args) -> int:
             queries.append((qid, db.code(qid)))
     elif args.query_features:
         if not args.model:
-            raise ValidationError("--query-features requires --model")
+            raise BadQueryFlags("--query-features requires --model")
         qdb = encode_batch(read_model(args.model), read_features(args.query_features))
         queries = [(f"q{i}", qdb.code(i)) for i in range(len(qdb))]
     else:
-        raise ValidationError("provide --query-id or --query-features")
+        raise BadQueryFlags("provide --query-id or --query-features")
 
     search = brute_force_topn if args.oracle else search_topn
     results = [search(db, qcode, args.n) for _, qcode in queries]
@@ -212,11 +212,11 @@ def cmd_eval(args) -> int:
         f.write(report.to_json())
         f.write("\n")
 
+    # write_csv writes a float as its repr; the N curve rows are never listed
     write_csv(prefix + ".wr_vs_n.csv", ["n", "mean_weighted_recall"],
-              [(n, repr(v)) for n, v in enumerate(report.wr_by_n.tolist(), start=1)])
+              zip(range(1, len(report.wr_by_n) + 1), report.wr_by_n.tolist()))
     write_csv(prefix + ".wr_vs_radius.csv", ["radius", "mean_weighted_recall"],
-              [(repr(r), repr(v)) for r, v in
-               zip(report.radii.tolist(), report.wr_by_radius.tolist())])
+              zip(report.radii.tolist(), report.wr_by_radius.tolist()))
     _write_manifest(prefix, args)
 
     for metric in sorted(METRIC_NAMES):

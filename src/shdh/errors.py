@@ -113,6 +113,10 @@ class UnknownQueryId(InputError):
     code = "UNKNOWN_QUERY_ID"
 
 
+class BadQueryFlags(ValidationError):
+    code = "BAD_QUERY_FLAGS"
+
+
 # --- metrics -----------------------------------------------------------------
 
 class RankTooLarge(ValidationError):

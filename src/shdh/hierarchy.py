@@ -115,9 +115,9 @@ class Taxonomy:
         """Leaf chain-row indices for a sequence of labels: the one place
         where a label string becomes a row. Raises UnknownLabel for the first
         label, in input order, that is not a leaf."""
+        leaf_row = self._leaf_row
         try:
-            return np.fromiter((self._leaf_row[lab] for lab in labels),
-                               dtype=np.int64, count=len(labels))
+            return np.array([leaf_row[lab] for lab in labels], dtype=np.int64)
         except KeyError as exc:
             raise UnknownLabel(f"{exc.args[0]!r} is not a leaf label") from None
 

@@ -12,18 +12,21 @@ Binary formats, all integers little-endian:
   layout block (L u16, K u8, scheme u8, widths u16 each).
 
 Every writer goes through a temp file plus rename, so interrupted runs
-never leave truncated artifacts. Readers reject bytes after the payload,
+never leave truncated artifacts, and writes each array from its own buffer,
+with no bytes copy. Readers reject bytes after the payload,
 layout headers that describe no layout, model layers that do not chain, and,
 in SHDC, nonzero padding bits: any bit outside `codes.segment_masks`.
 
 Text inputs (labels, taxonomy, key=value config) share one rule, owned by
 `read_text` and `text_records`: UTF-8 with an optional byte-order mark,
 each line stripped, blank and '#' lines skipped, fields split on one
-separator.
+separator. A labels file made only of plain "id<TAB>label" lines is read
+by one whole-text split instead, with the same result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -49,6 +52,9 @@ from .hierarchy import Taxonomy
 from .train import TrainRecord
 
 FORMAT_VERSION = 1
+
+# write_csv formats and writes this many rows at a time
+CSV_BLOCK = 4096
 
 _SCHEME_BYTE = {SCHEME_EFFECTIVE: 0, SCHEME_PAPER_LITERAL: 1}
 _BYTE_SCHEME = {v: k for k, v in _SCHEME_BYTE.items()}
@@ -136,7 +142,7 @@ def write_features(path, X: np.ndarray):
     with atomic_write(path) as f:
         f.write(b"SHDF")
         f.write(struct.pack("<HQI", FORMAT_VERSION, n, d))
-        f.write(X.tobytes())
+        f.write(X)
 
 
 def read_features(path) -> np.ndarray:
@@ -178,7 +184,7 @@ def write_codes(path, db: CodeDatabase):
         f.write(struct.pack("<H", FORMAT_VERSION))
         _write_layout_block(f, db.layout)
         f.write(struct.pack("<Q", len(db)))
-        f.write(np.ascontiguousarray(db.packed, dtype=np.uint8).tobytes())
+        f.write(np.ascontiguousarray(db.packed, dtype=np.uint8))
 
 
 def read_codes(path) -> CodeDatabase:
@@ -206,8 +212,8 @@ def write_model(path, model: HashModel):
         for W, v in zip(model.W, model.v):
             rows, cols = W.shape
             f.write(struct.pack("<II", rows, cols))
-            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(W, dtype="<f8"))
+            f.write(np.ascontiguousarray(v, dtype="<f8"))
         _write_layout_block(f, model.layout)
 
 
@@ -293,10 +299,37 @@ def write_taxonomy(path, edges):
             f.write(f"{parent}\t{child}\n")
 
 
+# Besides the tab and the newline, the ASCII characters that the line loop strips
+# or splits lines on, or that str.split() splits on, and the comment mark.
+_NOT_PLAIN = (" ", "#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_pairs(text: str) -> bool:
+    """True when `text` is empty or only "id<TAB>label\n" lines with no empty
+    field, so that text.split() gives the line loop's fields in order. The
+    tests are exact: ASCII (whose only other whitespace is in _NOT_PLAIN),
+    none of _NOT_PLAIN, a final newline, and tabs and newlines in turn,
+    starting with a tab, none at the start or right after another."""
+    if not text:
+        return True
+    if not (text.isascii() and text.endswith("\n")) or any(c in text for c in _NOT_PLAIN):
+        return False
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((buf == 9) | (buf == 10))
+    return bool(seps[0] > 0 and (buf[seps[0::2]] == 9).all()
+                and (buf[seps[1::2]] == 10).all() and (np.diff(seps) > 1).all())
+
+
 def read_labels(path) -> tuple[list[str], list[str]]:
-    """Labels file: one "item-id<TAB>leaf-label" per line. Returns (ids, labels)."""
+    """Labels file: one "item-id<TAB>leaf-label" per line. Returns (ids, labels).
+    A text that _plain_pairs accepts is read by one split, any other by the
+    text_records loop, which gives the same result and names a bad line."""
+    text = read_text(path)
+    if _plain_pairs(text):
+        fields = text.split()
+        return fields[0::2], fields[1::2]
     ids, labels = [], []
-    for lineno, fields in text_records(read_text(path), "\t"):
+    for lineno, fields in text_records(text, "\t"):
         try:  # unpacking checks the field count for less than len() per line
             item_id, label = fields
         except ValueError:
@@ -321,7 +354,15 @@ def write_trainlog(path, log: list[TrainRecord]):
 
 
 def write_csv(path, header, rows):
-    """Comma-separated lines, unquoted: every field is a number, "" or a fixed name."""
+    """Comma-separated lines, unquoted: every field is a number, "" or a fixed name.
+
+    Each field is written as str() gives it, so a float is its repr. `rows`
+    may be any iterable, a generator included; it is formatted and written
+    CSV_BLOCK rows at a time, so only one block of lines is held at once.
+    A row whose width is not the header's raises TypeError."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    rows = iter(rows)
     with atomic_write(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        while block := [line % tuple(row) for row in itertools.islice(rows, CSV_BLOCK)]:
+            f.write("".join(block))

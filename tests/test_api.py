@@ -47,5 +47,5 @@ def test_readme_exit_code_table_lists_every_error():
 
     codes = {cls.code: str(cls.exit_code) for cls in walk(ShdhError) if "code" in vars(cls)}
     assert {code: table.get(code) for code in codes} == codes
-    # ERROR: a bare ValidationError; IO_ERROR: an OSError that cli.main catches
-    assert set(table) - set(codes) == {"ERROR", "IO_ERROR"}
+    # IO_ERROR: an OSError that cli.main catches
+    assert set(table) - set(codes) == {"IO_ERROR"}

@@ -380,6 +380,19 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out == "" and "not both" in captured.err
 
+    @pytest.mark.parametrize("flags", [
+        ["--query-id", "3", "--model", "model", "--query-features", "query"],
+        [],
+        ["--query-features", "query"],
+    ], ids=["both", "neither", "features without model"])
+    def test_query_flag_conflicts_exit_3(self, dataset, trained, capsys, flags):
+        paths = {"model": str(trained / "model.shdm"), "query": str(dataset / "query.shdf")}
+        rc = main(["query", "--codes", str(trained / "db.shdc"),
+                   *(paths.get(flag, flag) for flag in flags)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("BAD_QUERY_FLAGS: ")
+
     def test_unknown_query_id_exit_2(self, trained, capsys):
         rc = main(["query", "--codes", str(trained / "db.shdc"),
                    "--query-id", "5000", "--n", "1"])

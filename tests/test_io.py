@@ -1,20 +1,26 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shdh.codes import Architecture, CodeDatabase, init_model, segment_layout
-from shdh.errors import FileFormatError, FileNotFound
+from shdh.errors import FileFormatError, FileNotFound, ShdhError
 from shdh.io import (
+    CSV_BLOCK,
+    _plain_pairs,
     atomic_write,
     read_codes,
     read_features,
     read_labels,
     read_model,
     read_taxonomy,
+    read_text,
+    text_records,
     write_codes,
+    write_csv,
     write_features,
     write_labels,
     write_model,
@@ -55,6 +61,17 @@ class TestFeatures:
         path.write_bytes(b"WRNG" + b"\x00" * 32)
         with pytest.raises(FileFormatError):
             read_features(path)
+
+    def test_write_copies_no_payload(self, tmp_path):
+        X = np.random.default_rng(0).normal(size=(20_000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            write_features(tmp_path / "f.shdf", X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
+        np.testing.assert_array_equal(read_features(tmp_path / "f.shdf"), X)
 
     def test_truncated(self, tmp_path):
         X = np.ones((4, 4), np.float32)
@@ -233,6 +250,102 @@ class TestTextFiles:
         with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: not UTF-8: "
                                                   "byte 0xe9 at offset 7"):
             reader(path)
+
+
+def _line_loop(path):
+    """The labels reader as one text_records loop over every line."""
+    ids, labels = [], []
+    for lineno, fields in text_records(read_text(path), "\t"):
+        if len(fields) != 2:
+            raise FileFormatError(f"{path} line {lineno}: expected 'id<TAB>label'")
+        ids.append(fields[0])
+        labels.append(fields[1])
+    return ids, labels
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ShdhError as exc:  # the message names the path and the line
+        return type(exc), str(exc)
+
+
+# Lines that the whole-text split would read otherwise than the line loop,
+# or that the line loop rejects.
+_HAZARD_LINES = [
+    "# a comment\n", "#7\ts0_c1\n", "\n", "  \n", "\t\n", "7\ts0_c1\r\n",
+    " 7\ts0_c1\n", "7\ts0_c1 \n", "\t7\ts0_c1\n", "7\ts0_c1\t\n", "7 8\ts0_c1\n",
+    "7\ts0 c1\n", "7\ts0#c1\n",
+    *(f"7\ts0{c}c1\n" for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028"),
+    "7\ts0_c1\tx\n", "7\ts0_c1\tx\ty\n", "7\t\ts0_c1\n", "7\n", "7\n8\n", "7\t\n",
+    "\ts0_c1\n",
+]
+
+
+def _label_texts(seed):
+    """Clean label texts with each hazard at the start, inside and at the end,
+    and whole-text hazards: CRLF, no final newline, a last line without its
+    label, a byte-order mark."""
+    rng = np.random.default_rng(seed)
+    clean = [f"{i}\ts{rng.integers(4)}_c{rng.integers(4)}\n" for i in range(int(rng.integers(1, 8)))]
+    for hazard in _HAZARD_LINES:
+        for at in sorted({0, int(rng.integers(len(clean) + 1)), len(clean)}):
+            yield "".join(clean[:at] + [hazard] + clean[at:])
+    text = "".join(clean)
+    yield from (text, text.replace("\n", "\r\n"), text[:-1], text + "7", "\ufeff" + text,
+                "\ufeff" + text.replace("\n", "\r\n"))
+
+
+class TestLabelPaths:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_reads_like_the_line_loop(self, tmp_path, seed):
+        path = tmp_path / "l.tsv"
+        for text in _label_texts(seed):
+            path.write_bytes(text.encode())
+            assert _outcome(read_labels, path) == _outcome(_line_loop, path), repr(text)
+
+    @pytest.mark.parametrize("rows", [0, 1, 10_000])
+    def test_written_labels_take_the_split(self, tmp_path, rows):
+        path = tmp_path / "l.tsv"
+        for labels in ([f"s{i % 4}_c{i % 5}" for i in range(rows)],  # shdh gen
+                       [f"n{i % 3}_{i % 4}_{i % 2}" for i in range(rows)]):  # perfbench
+            write_labels(path, range(rows), labels)
+            assert _plain_pairs(read_text(path))
+            assert read_labels(path) == ([str(i) for i in range(rows)], labels)
+
+
+class TestCsv:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 7])
+    def test_blocks_write_what_rows_joined_write(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        kinds = [lambda i: (i, float(rng.normal()), "acg", ""),
+                 lambda i: ["mean", np.int64(i), "ndcg", repr(float(rng.random()))],
+                 lambda i: (np.float64(rng.normal()), -i, "weighted_recall", "0.5")]
+        rows = [kinds[i % 3](i) for i in range(n)]
+        header = ["query_id", "n", "metric", "value"]
+        path = tmp_path / "m.csv"
+        write_csv(path, header, (row for row in rows))
+        oracle = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        assert path.read_bytes() == oracle.encode()
+
+    def test_row_of_another_width_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "c.csv", ["n", "value"], [(1, 0.5), (2, 0.5, 7)])
+        assert os.listdir(tmp_path) == []
+
+    def test_curve_from_a_generator_is_never_listed(self, tmp_path):
+        # a list of the 100 000 rows and their reprs first peaks at 18.1 MiB
+        wr = np.random.default_rng(0).random(100_000)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "wr.csv", ["n", "mean_weighted_recall"],
+                      zip(range(1, len(wr) + 1), wr.tolist()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        lines = (tmp_path / "wr.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(wr) and lines[-1] == f"{len(wr)},{float(wr[-1])!r}"
 
 
 class TestTrainLogCsv:
