@@ -21,7 +21,6 @@ from .errors import ShdhError
 from .hierarchy import Taxonomy, layer_weights
 from .index import (
     SearchResult,
-    brute_force_topn,
     distance_keys,
     search_radius,
     search_topn,
@@ -48,7 +47,6 @@ __all__ = [
     "Taxonomy",
     "TrainConfig",
     "backprop_step",
-    "brute_force_topn",
     "distance_keys",
     "encode_batch",
     "eval_queries",

@@ -31,7 +31,7 @@ from .errors import (
     ShdhError,
     UnknownQueryId,
 )
-from .index import brute_force_topn, search_topn
+from .index import search_topn
 from .io import (
     atomic_write,
     read_codes,
@@ -56,8 +56,8 @@ from .train import TrainConfig, train
 def _number(flag: str, kind=int, minimum=None, many=False):
     """argparse `type` of a numeric flag (many: a comma-separated list, empty
     items skipped). argparse also runs it over string defaults, so config
-    values and SHDH_THREADS get the same check. A malformed value is a
-    validation error (exit 3), not a usage error."""
+    values get the same check. A malformed value is a validation error
+    (exit 3), not a usage error."""
     def convert(text: str):
         try:
             out = kind(text.strip())
@@ -92,8 +92,8 @@ def _load_config_defaults(argv, subparsers):
     flags in precedence, and a defaulted option is no longer required.
     set_defaults skips argparse's own checks, so they are
     made here: a key that no subcommand defines, a repeatable (append)
-    option, a value outside an option's choices, and a store_true value
-    other than true or false are BAD_FILE_FORMAT errors."""
+    option and a value outside an option's choices are BAD_FILE_FORMAT
+    errors."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -116,13 +116,10 @@ def _load_config_defaults(argv, subparsers):
         for sub, action in options[key]:
             if isinstance(action, argparse._AppendAction):
                 raise FileFormatError(f"{where}: {key} is repeatable; give it on the command line")
-            switch = action.nargs == 0  # store_true
-            if switch and value not in ("true", "false"):
-                raise FileFormatError(f"{where}: {key} must be true or false, got {value!r}")
             if action.choices is not None and value not in action.choices:
                 raise FileFormatError(
                     f"{where}: {key} must be one of {', '.join(action.choices)}, got {value!r}")
-            sub.set_defaults(**{key: value == "true" if switch else value})
+            sub.set_defaults(**{key: value})
             action.required = False
 
 
@@ -177,8 +174,7 @@ def cmd_query(args) -> int:
     else:
         raise BadQueryFlags("provide --query-id or --query-features")
 
-    search = brute_force_topn if args.oracle else search_topn
-    results = [search(db, qcode, args.n) for _, qcode in queries]
+    results = [search_topn(db, qcode, args.n) for _, qcode in queries]
 
     lines = ["query\trank\titem_id\tdistance\tinner_product"]
     for (qid, _), result in zip(queries, results):
@@ -298,10 +294,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     registry = {}
     # Checked, not used: one numpy pass per query is as fast on one thread as
-    # on several. An empty SHDH_THREADS is ignored.
-    threads = dict(type=_number("--threads/SHDH_THREADS", minimum=1),
-                   default=os.environ.get("SHDH_THREADS") or None,
-                   help="accepted and checked, not used (default $SHDH_THREADS)")
+    # on several.
+    threads = dict(type=_number("--threads", minimum=1), help="accepted and checked, not used")
 
     p = registry["train"] = sub.add_parser(
         "train", help="learn a hash model from features + labels + taxonomy")
@@ -339,8 +333,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--model", help="SHDM model, needed with --query-features")
     p.add_argument("--n", type=_number("--n", minimum=1), default=10,
                    help="number of results per query")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force scan instead of the integer-key kernel")
     p.add_argument("--threads", **threads)
     p.add_argument("--out", help="ranked TSV output (default stdout)")
     p.set_defaults(func=cmd_query)

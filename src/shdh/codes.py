@@ -223,15 +223,6 @@ def pack_bits(layout: SegmentLayout, bits: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def unpack_bits(layout: SegmentLayout, packed: np.ndarray) -> np.ndarray:
-    """Inverse of pack_bits: (n x total_bytes) -> (n x L) 0/1 matrix."""
-    cols = []
-    for seg in layout.segments:
-        block = packed[:, seg.byte_offset : seg.byte_offset + seg.n_bytes]
-        cols.append(np.unpackbits(block, axis=1, count=seg.width, bitorder="little"))
-    return np.hstack(cols)
-
-
 @dataclass(eq=False)
 class CodeDatabase:
     """Packed binary codes for n items, in insertion order."""

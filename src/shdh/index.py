@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeDatabase, SegmentLayout, segment_masks, unpack_bits
+from .codes import CodeDatabase, SegmentLayout, segment_masks
 from .errors import EmptyDatabase, LayoutMismatch, ShapeMismatch
 
 
@@ -80,8 +80,7 @@ def distance_keys(db: CodeDatabase, q: CodeDatabase) -> np.ndarray:
 
 def _topn_rows(key: np.ndarray, n: int) -> np.ndarray:
     """Rows of the n smallest keys, ordered by (key, row), in O(N + n log n)."""
-    if n >= len(key):
-        return np.argsort(key, kind="stable")
+    n = min(n, len(key))
     cut = np.partition(key, n - 1)[n - 1]
     below = np.flatnonzero(key < cut)
     rows = np.concatenate([below, np.flatnonzero(key == cut)[:n - len(below)]])
@@ -147,34 +146,3 @@ def search_radius(db: CodeDatabase, q: CodeDatabase, r: float) -> SearchResult:
     key = distance_keys(db, q)
     within = np.flatnonzero(key <= radius_key_bound(db.layout, r))
     return _take(db, key, within[np.argsort(key[within], kind="stable")])
-
-
-def brute_force_topn(db: CodeDatabase, q: CodeDatabase, n: int) -> SearchResult:
-    """Oracle twin of search_topn: per-bit comparison of unpacked codes and
-    exact integer distances, with no words, masks or popcounts.
-
-    D_w = sum_k u_k * ham_k with u_k = 2(K+1-k) / (K(K-1)), u_1 = 0, is kept
-    as the integer numerator over the common denominator K(K-1).
-    """
-    _require_nonempty(db)
-    _require_query(db.layout, q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    layout = db.layout
-    K = layout.K
-    mismatch = unpack_bits(layout, db.packed) != unpack_bits(layout, q.packed)
-    dist_num = np.zeros(len(db), dtype=np.int64)
-    inner_num = np.zeros(len(db), dtype=np.int64)
-    for seg in layout.segments:
-        u_num = 0 if seg.layer == 1 else 2 * (K + 1 - seg.layer)
-        ham = mismatch[:, seg.bit_offset:seg.bit_offset + seg.width].sum(axis=1)
-        dist_num += u_num * ham
-        inner_num += u_num * (seg.width - 2 * ham)
-    num = dist_num.tolist()
-    order = np.array(sorted(range(len(db)), key=lambda i: (num[i], i))[:n], dtype=np.int64)
-    den = K * (K - 1)
-    return SearchResult(
-        ids=order.tolist(),
-        distances=dist_num[order] / den,
-        inner_products=inner_num[order] / den,
-    )

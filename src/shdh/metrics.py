@@ -133,9 +133,10 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
 
     The ranking is a stable sort of the exact distance keys, so it keeps the
     (D_w, insertion order) rule. Relevance is computed once per leaf label
-    and gathered through the database's leaf rows; the ideal ranking comes
-    from those per-leaf values and the database's leaf counts. The curves
-    are running sums, so memory is O(N + distance levels), not O(Q x N).
+    and gathered through the database's leaf rows; the ideal ranking, up to
+    the largest cutoff, comes from those per-leaf values and the database's
+    leaf counts. The curves are running sums, so memory is
+    O(N + distance levels), not O(Q x N).
 
     Queries whose total relevance is zero are excluded from the Weighted
     Recall means (their WR cells are NaN) and from both curves; the
@@ -154,7 +155,7 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
         if not 1 <= n <= len(db):
             raise RankTooLarge(f"rank {n} outside [1, {len(db)}]")
 
-    N, n_levels = len(db), db.layout.max_key + 1
+    N, n_levels, max_n = len(db), db.layout.max_key + 1, max(ns, default=0)
     leaves = np.arange(len(tax.leaves))
     db_rows = tax.label_rows(db_labels)
     leaf_count = np.bincount(db_rows, minlength=len(leaves))
@@ -170,7 +171,7 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
         leaf_rel = rel_by_depth[tax.shared_depths(q_row, leaves)]
         rels = leaf_rel[db_rows[np.argsort(key, kind="stable")]]
         by_rel = np.argsort(-leaf_rel, kind="stable")
-        ideal = np.repeat(leaf_rel[by_rel], leaf_count[by_rel])
+        ideal = np.repeat(leaf_rel[by_rel], np.minimum(leaf_count[by_rel], max_n))
         values[:, qi] = _cutoff_metrics(rels, ideal, ns)
         total = float(rels.sum())
         if total == 0.0:

@@ -98,16 +98,52 @@ def forward_rows_brute(W, v, X) -> np.ndarray:
     return out
 
 
-def signs(code) -> np.ndarray:
-    """Logical +/-1 vector of a one-row code database, read bit by bit from
-    the packing (segment-major, each segment padded to whole bytes,
-    LSB-first within a byte) without the library's unpacking."""
-    (row,) = code.packed
-    out, byte = [], 0
-    for width in code.layout.widths:
-        out += [1 if row[byte + j // 8] >> (j % 8) & 1 else -1 for j in range(width)]
+def bits_brute(layout, packed) -> np.ndarray:
+    """(n x L) 0/1 matrix of packed codes, read bit by bit from the packing
+    (segment-major, each segment padded to whole bytes, LSB-first within a
+    byte) without the library's unpacking."""
+    cols, byte = [], 0
+    for width in layout.widths:
+        cols += [packed[:, byte + j // 8] >> (j % 8) & 1 for j in range(width)]
         byte += (width + 7) // 8
-    return np.array(out, dtype=np.int8)
+    return np.stack(cols, axis=1).astype(np.uint8)
+
+
+def signs(code) -> np.ndarray:
+    """Logical +/-1 vector of a one-row code database."""
+    (row,) = bits_brute(code.layout, code.packed)
+    return 2 * row.astype(np.int8) - 1
+
+
+# --- search --------------------------------------------------------------------
+
+def _key_weight(layout, seg) -> int:
+    """Layer weight u_k scaled by K(K-1)/2: K+1-k, and 0 for layer 1."""
+    return 0 if seg.layer == 1 else layout.K + 1 - seg.layer
+
+
+def exact_keys(layout, packed, q_packed) -> np.ndarray:
+    """Integer keys sum_k (K+1-k) * ham_k of every packed row to the query,
+    segment by segment from the bits."""
+    mismatch = bits_brute(layout, packed) != bits_brute(layout, q_packed)
+    key = np.zeros(len(packed), dtype=np.int64)
+    lo = 0
+    for seg in layout.segments:
+        key += _key_weight(layout, seg) * mismatch[:, lo:lo + seg.width].sum(axis=1)
+        lo += seg.width
+    return key
+
+
+def topn_brute(layout, packed, q_packed, n):
+    """(ids, distances, inner products) of the n nearest rows, ordered by
+    (key, row). D_w = key / (K(K-1)/2), and the inner product is the
+    complement's key minus twice the key, over the same scale."""
+    key = exact_keys(layout, packed, q_packed)
+    top = sum(seg.width * _key_weight(layout, seg) for seg in layout.segments)
+    scale = layout.K * (layout.K - 1) // 2
+    ids = sorted(range(len(key)), key=lambda i: (key[i], i))[:n]
+    k = key[ids]
+    return ids, k / scale, (top - 2 * k) / scale
 
 
 # --- training ------------------------------------------------------------------

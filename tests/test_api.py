@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import shdh
-from shdh.cli import main
+from shdh.cli import build_parser, main
 from shdh.errors import ShdhError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +49,17 @@ def test_readme_exit_code_table_lists_every_error():
     assert {code: table.get(code) for code in codes} == codes
     # IO_ERROR: an OSError that cli.main catches
     assert set(table) - set(codes) == {"IO_ERROR"}
+
+
+def test_readme_names_only_flags_and_variables_that_exist():
+    # documentation drift: every --flag the README names is declared by some
+    # parser, and every SHDH_* name it gives occurs in the package source
+    text = README.read_text()
+    parser, registry = build_parser()
+    declared = {option for p in (parser, *registry.values())
+                for action in p._actions for option in action.option_strings}
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert flags and sorted(flags - declared) == []
+    source = "".join(path.read_text() for path in Path(shdh.__file__).parent.glob("*.py"))
+    names = set(re.findall(r"\bSHDH_[A-Z0-9_]+", text))
+    assert sorted(name for name in names if name not in source) == []

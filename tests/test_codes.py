@@ -20,7 +20,6 @@ from shdh.codes import (
     quantize,
     segment_layout,
     segment_masks,
-    unpack_bits,
 )
 from shdh.errors import (
     CodeTooLong,
@@ -35,7 +34,7 @@ from shdh.index import distance_keys
 from shdh.io import read_codes, write_codes
 
 from conftest import make_layout
-from oracles import forward_rows_brute, signs
+from oracles import bits_brute, forward_rows_brute, signs
 
 
 class TestSegmentLayout:
@@ -286,7 +285,7 @@ class TestPackRoundTrip:
                 bits = rng.integers(0, 2, size=(40, L), dtype=np.uint8)
                 packed = pack_bits(layout, bits)
                 assert packed.shape == (40, layout.total_bytes)
-                np.testing.assert_array_equal(unpack_bits(layout, packed), bits)
+                np.testing.assert_array_equal(bits_brute(layout, packed), bits)
 
     def test_padding_bits_zero(self):
         layout = segment_layout(31, 3)  # widths (15, 16): one padding bit
@@ -398,7 +397,7 @@ class TestEncodeBatch:
         relaxed = forward_rows_brute(model.W, model.v, X)
         clear = np.abs(relaxed) > 1e-9
         assert n == 0 or clear.mean() > 0.99
-        bits = unpack_bits(layout, db.packed)
+        bits = bits_brute(layout, db.packed)
         np.testing.assert_array_equal(bits[clear], (relaxed > 0)[clear])
 
     def test_nonfinite_in_last_block(self):

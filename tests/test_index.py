@@ -3,10 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shdh.codes import CodeDatabase, quantize, segment_layout, unpack_bits
+from shdh.codes import CodeDatabase, quantize, segment_layout
 from shdh.errors import EmptyDatabase, LayoutMismatch, ShapeMismatch
 from shdh.index import (
-    brute_force_topn,
     distance_keys,
     radius_key_bound,
     search_radius,
@@ -15,7 +14,7 @@ from shdh.index import (
 )
 
 from conftest import random_codes
-from oracles import signs
+from oracles import exact_keys, signs, topn_brute
 
 
 def code_from_signs(layout, values):
@@ -75,16 +74,6 @@ class TestWeightedDistance:
             djk = weighted_distance(codes[j], codes[k])
             dik = weighted_distance(codes[i], codes[k])
             assert dik <= dij + djk + 1e-12
-
-
-def exact_keys(layout, packed, q_packed):
-    """Integer keys sum_k (K+1-k) * ham_k from unpacked bits, segment by segment."""
-    mismatch = unpack_bits(layout, packed) != unpack_bits(layout, q_packed)
-    key = np.zeros(len(packed), dtype=np.int64)
-    for seg in layout.segments:
-        weight = 0 if seg.layer == 1 else layout.K + 1 - seg.layer
-        key += weight * mismatch[:, seg.bit_offset:seg.bit_offset + seg.width].sum(axis=1)
-    return key
 
 
 def fraction_distance(layout, a, b):
@@ -212,6 +201,10 @@ class TestSearch:
         db = self._db(rng, layout, 6)
         res = search_topn(db, db.code(0), 50)
         assert len(res) == 6
+        ids, distances, inner = topn_brute(layout, db.packed, db.code(0).packed, 6)
+        assert res.ids == ids
+        np.testing.assert_array_equal(res.distances, distances)
+        np.testing.assert_array_equal(res.inner_products, inner)
 
     def test_empty_database(self):
         layout = segment_layout(16, 3)
@@ -227,7 +220,7 @@ class TestSearch:
         with pytest.raises(LayoutMismatch):
             search_topn(db, q, 1)
 
-    @pytest.mark.parametrize("search", [distance_keys, search_topn, brute_force_topn])
+    @pytest.mark.parametrize("search", [distance_keys, search_topn])
     def test_query_of_two_rows(self, search):
         rng = np.random.default_rng(14)
         layout = segment_layout(16, 3)
@@ -334,6 +327,8 @@ class TestSearchRadius:
 
 
 class TestBruteForceOracle:
+    """search_topn against the brute-force oracle of tests/oracles.py."""
+
     def test_identical_to_lut_path(self):
         rng = np.random.default_rng(10)
         for L, K in [(32, 3), (48, 3), (64, 4)]:
@@ -343,18 +338,10 @@ class TestBruteForceOracle:
             for _ in range(20):
                 q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
                 fast = search_topn(db, q, 200)
-                slow = brute_force_topn(db, q, 200)
-                assert fast.ids == slow.ids
-                np.testing.assert_array_equal(fast.distances, slow.distances)
-                np.testing.assert_array_equal(fast.inner_products, slow.inner_products)
-
-    def test_full_ranking_nondecreasing(self):
-        rng = np.random.default_rng(11)
-        layout = segment_layout(16, 3)
-        db = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 30))
-        q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
-        res = brute_force_topn(db, q, 30)
-        assert np.all(np.diff(res.distances) >= 0)
+                ids, distances, inner = topn_brute(layout, packed, q.packed, 200)
+                assert fast.ids == ids
+                np.testing.assert_array_equal(fast.distances, distances)
+                np.testing.assert_array_equal(fast.inner_products, inner)
 
     def test_matches_fraction_distances(self):
         rng = np.random.default_rng(13)
@@ -363,12 +350,13 @@ class TestBruteForceOracle:
         db = CodeDatabase(layout=layout, packed=packed)
         q = CodeDatabase(layout=layout, packed=packed[7:8])
         exact = [fraction_distance(layout, signs(q), signs(db.code(i))) for i in range(40)]
-        res = brute_force_topn(db, q, 40)
+        res = search_topn(db, q, 40)
+        assert res.ids == topn_brute(layout, packed, q.packed, 40)[0]
         assert res.ids == sorted(range(40), key=lambda i: (exact[i], i))
         assert res.distances.tolist() == [float(exact[i]) for i in res.ids]
 
     def test_single_item_hand_distance(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
         db = code_from_signs(hand_layout, [1, -1, -1, -1])  # one code
-        res = brute_force_topn(db, a, 1)
+        res = search_topn(db, a, 1)
         assert res.distances[0] == pytest.approx(4 / 3, rel=1e-15)

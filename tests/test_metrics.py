@@ -7,7 +7,6 @@ from shdh.errors import RankTooLarge, UnknownLabel
 from shdh.metrics import METRIC_NAMES, _cutoff_metrics, _relevance_by_depth, eval_queries
 
 from shdh.hierarchy import Taxonomy
-from shdh.index import brute_force_topn
 
 from conftest import FIG4_TEXT, random_codes
 from oracles import (
@@ -17,6 +16,7 @@ from oracles import (
     parent_from_edges,
     random_taxonomy,
     relevance_brute,
+    topn_brute,
     weighted_recall_brute,
 )
 
@@ -244,10 +244,10 @@ def _fig4_case(seed, n_db=120, n_q=8):
 def _oracle_ranking(db, labels, q, q_label, mode):
     """(relevances, exact keys) along the brute-force oracle's full ranking,
     with relevance from fig4's parent chains."""
-    res = brute_force_topn(db, q, len(db))
+    ids, distances, _ = topn_brute(db.layout, db.packed, q.packed, len(db))
     rels = np.array([relevance_brute(FIG4_PARENT, 4, q_label, labels[i], mode)
-                     for i in res.ids])
-    keys = np.rint(res.distances * db.layout.key_scale).astype(np.int64)
+                     for i in ids])
+    keys = np.rint(distances * db.layout.key_scale).astype(np.int64)
     return rels, keys
 
 
