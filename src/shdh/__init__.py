@@ -24,7 +24,6 @@ from .index import (
     distance_keys,
     search_radius,
     search_topn,
-    weighted_distance,
 )
 from .io import parse_taxonomy
 from .metrics import MetricReport, eval_queries
@@ -59,5 +58,4 @@ __all__ = [
     "search_topn",
     "segment_layout",
     "train",
-    "weighted_distance",
 ]

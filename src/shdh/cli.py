@@ -223,6 +223,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _layout_info(layout) -> dict:
+    """The layout fields that SHDC and SHDM headers both record."""
+    return {
+        "bits": layout.L,
+        "height": layout.K,
+        "scheme": layout.scheme,
+        "segment_widths": list(layout.widths),
+        "segment_weights": [s.weight for s in layout.segments],
+    }
+
+
 def cmd_inspect(args) -> int:
     path = args.file
     try:
@@ -235,26 +246,11 @@ def cmd_inspect(args) -> int:
         info = {"format": "SHDF", "items": int(X.shape[0]), "dim": int(X.shape[1])}
     elif magic == b"SHDC":
         db = read_codes(path)
-        info = {
-            "format": "SHDC",
-            "items": len(db),
-            "bits": db.layout.L,
-            "height": db.layout.K,
-            "scheme": db.layout.scheme,
-            "segment_widths": list(db.layout.widths),
-            "segment_weights": [s.weight for s in db.layout.segments],
-        }
+        info = {"format": "SHDC", "items": len(db), **_layout_info(db.layout)}
     elif magic == b"SHDM":
         model = read_model(path)
-        info = {
-            "format": "SHDM",
-            "input_dim": model.arch.d,
-            "hidden": list(model.arch.hidden),
-            "bits": model.layout.L,
-            "height": model.layout.K,
-            "scheme": model.layout.scheme,
-            "segment_widths": list(model.layout.widths),
-        }
+        info = {"format": "SHDM", "input_dim": model.arch.d, "hidden": list(model.arch.hidden),
+                **_layout_info(model.layout)}
     else:
         raise FileFormatError(f"{path}: unrecognized magic {magic!r}")
     print(json.dumps(info, indent=2, sort_keys=True))

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .hierarchy import layer_weights
+from .hierarchy import key_weights, layer_weights
 
 SCHEME_EFFECTIVE = "effective"
 SCHEME_PAPER_LITERAL = "paper-literal"
@@ -41,8 +41,8 @@ class Segment:
     layer: int      # taxonomy layer this segment encodes
     width: int      # bits
     weight: float   # layer weight u_k
+    key_weight: int  # u_k * key_scale, the integer weight of the distance keys
     bit_offset: int
-    byte_offset: int
 
     @property
     def n_bytes(self) -> int:
@@ -75,21 +75,22 @@ class SegmentLayout:
         """K(K-1)/2: exact integer distance keys are D_w * key_scale."""
         return self.K * (self.K - 1) // 2
 
-    def key_weight(self, layer: int) -> int:
-        """u_k * key_scale, the integer K+1-k; the root layer weighs 0."""
-        return 0 if layer == 1 else self.K + 1 - layer
-
     @property
     def max_key(self) -> int:
         """Key of two codes that differ in every bit."""
-        return sum(self.key_weight(s.layer) * s.width for s in self.segments)
+        return sum(s.key_weight * s.width for s in self.segments)
+
+    def distances(self, keys) -> np.ndarray:
+        """D_w of integer distance keys: key / key_scale, the one conversion,
+        so equal keys give equal floats."""
+        return np.asarray(keys, dtype=np.int64) / self.key_scale
 
 
 def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLayout:
     """Split L bits into per-layer segments with their layer weights."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    u = layer_weights(K)  # validates K >= 2
+    w, u = key_weights(K), layer_weights(K)  # validates K >= 2
     n_seg = K if scheme == SCHEME_PAPER_LITERAL else K - 1
     if L <= n_seg:
         raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
@@ -102,19 +103,17 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
     first_layer = 1 if scheme == SCHEME_PAPER_LITERAL else 2
 
     segments = []
-    bit_off = byte_off = 0
+    bit_off = 0
     for i, width in enumerate(widths):
         layer = first_layer + i
-        seg = Segment(
+        segments.append(Segment(
             layer=layer,
             width=width,
             weight=float(u[layer - 1]),
+            key_weight=int(w[layer - 1]),
             bit_offset=bit_off,
-            byte_offset=byte_off,
-        )
-        segments.append(seg)
+        ))
         bit_off += width
-        byte_off += seg.n_bytes
 
     A = np.concatenate([np.full(s.width, s.weight) for s in segments])
     A.setflags(write=False)

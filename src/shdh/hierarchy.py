@@ -26,14 +26,23 @@ from .errors import (
 DEFAULT_MATRIX_CAP = 20_000
 
 
-def layer_weights(K: int) -> np.ndarray:
-    """Read-only weights u (length K, u[k-1] weighs layer k):
-    u_k = 2(K+1-k)/(K(K-1)) for k >= 2, u_1 = 0."""
+def key_weights(K: int) -> np.ndarray:
+    """Read-only integer layer weights (length K, w[k-1] weighs layer k):
+    w_k = K+1-k for k >= 2, w_1 = 0. The one statement of the layer
+    weighting; `layer_weights` and the search keys both come from it."""
     if K < 2:
         raise HeightTooSmall(f"taxonomy height must be >= 2, got {K}")
-    u = np.zeros(K, dtype=np.float64)
-    ks = np.arange(2, K + 1, dtype=np.float64)
-    u[1:] = 2.0 * (K + 1 - ks) / (K * (K - 1))
+    w = K + 1 - np.arange(1, K + 1, dtype=np.int64)
+    w[0] = 0
+    w.setflags(write=False)
+    return w
+
+
+def layer_weights(K: int) -> np.ndarray:
+    """Read-only weights u (length K, u[k-1] weighs layer k):
+    u_k = 2(K+1-k)/(K(K-1)) for k >= 2, u_1 = 0, i.e. the key weights over
+    K(K-1)/2 (one correctly rounded division, so bit-identical)."""
+    u = key_weights(K) / (K * (K - 1) // 2)
     u.setflags(write=False)
     return u
 

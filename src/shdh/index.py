@@ -6,7 +6,7 @@ weights become the integers K+1-k (0 for a layer-1 segment), so every
 distance has an exact integer key, key = sum_k (K+1-k) * ham_k, and
 D_w = key / (K(K-1)/2). Ranking sorts keys, so equal distances tie exactly
 and break by insertion order; reported distances are one division of the
-key, so equal keys print equal floats.
+key (`SegmentLayout.distances`), so equal keys print equal floats.
 
 A query is a one-row CodeDatabase. The kernel views each packed row as
 whole unsigned words, XORs it with the query, and sums popcount(word & mask)
@@ -20,8 +20,8 @@ descending by that inner product.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +58,10 @@ def _kernel(layout: SegmentLayout) -> _Kernel:
     word = np.dtype(f"u{size}")
     key_dtype = np.uint16 if layout.max_key <= np.iinfo(np.uint16).max else np.uint32
     # one term per word a segment touches; zero-weight segments have none
-    terms = tuple(sorted((col, mask, key_dtype(layout.key_weight(seg.layer)))
+    terms = tuple(sorted((col, mask, key_dtype(seg.key_weight))
                          for seg, row in zip(layout.segments, segment_masks(layout))
                          for col, mask in enumerate(row.view(word))
-                         if mask and layout.key_weight(seg.layer)))
+                         if mask and seg.key_weight))
     return _Kernel(word=word, terms=terms, key_dtype=key_dtype)
 
 
@@ -88,14 +88,9 @@ def _topn_rows(key: np.ndarray, n: int) -> np.ndarray:
 
 
 def radius_key_bound(layout: SegmentLayout, r: float) -> int:
-    """Largest key whose reported D_w = key / scale is <= r (-1 when none is)."""
-    scale, top = layout.key_scale, layout.max_key
-    bound = top if r * scale >= top else math.floor(r * scale)
-    while bound < top and (bound + 1) / scale <= r:
-        bound += 1
-    while bound >= 0 and bound / scale > r:
-        bound -= 1
-    return bound
+    """Largest key whose reported D_w is <= r (-1 when none is): a binary
+    search of the keys by the very floats they report, so it is exact."""
+    return bisect.bisect_right(range(layout.max_key + 1), r, key=layout.distances) - 1
 
 
 def _require_query(layout: SegmentLayout, q: CodeDatabase):
@@ -112,19 +107,12 @@ def _require_nonempty(db: CodeDatabase):
 
 
 def _take(db: CodeDatabase, key: np.ndarray, order: np.ndarray) -> SearchResult:
-    k = key[order].astype(np.int64)
-    scale = db.layout.key_scale
+    k, layout = key[order].astype(np.int64), db.layout
     return SearchResult(
         ids=order.tolist(),
-        distances=k / scale,
-        inner_products=(db.layout.max_key - 2 * k) / scale,
+        distances=layout.distances(k),
+        inner_products=layout.distances(layout.max_key - 2 * k),
     )
-
-
-def weighted_distance(a: CodeDatabase, b: CodeDatabase) -> float:
-    """D_w between two one-row databases; 0 iff all nonzero-weight segments agree."""
-    _require_query(a.layout, b)
-    return float(distance_keys(b, a)[0]) / a.layout.key_scale
 
 
 def search_topn(db: CodeDatabase, q: CodeDatabase, n: int) -> SearchResult:
@@ -141,8 +129,8 @@ def search_radius(db: CodeDatabase, q: CodeDatabase, r: float) -> SearchResult:
 
     The bound is an integer key, so a distance level is never split."""
     _require_nonempty(db)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    if not r >= 0:  # NaN too
+        raise ValueError(f"radius must be >= 0, got {r}")
     key = distance_keys(db, q)
     within = np.flatnonzero(key <= radius_key_bound(db.layout, r))
     return _take(db, key, within[np.argsort(key[within], kind="stable")])

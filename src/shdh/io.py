@@ -349,7 +349,7 @@ def write_labels(path, ids, labels):
 
 def write_trainlog(path, log: list[TrainRecord]):
     write_csv(path, ["iteration", "eta", "loss", "fit", "trace"],
-              ([rec.iteration, repr(rec.eta), repr(rec.loss), repr(rec.fit), repr(rec.trace)]
+              ([rec.iteration, rec.eta, rec.loss, rec.fit, rec.trace]
                for rec in log))
 
 

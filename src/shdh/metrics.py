@@ -100,10 +100,10 @@ class MetricReport:
             for metric in METRIC_NAMES:
                 for ni, n in enumerate(self.ns):
                     val = self.per_query[metric][qi, ni]
-                    rows.append((qi, n, metric, "" if np.isnan(val) else repr(float(val))))
+                    rows.append((qi, n, metric, "" if np.isnan(val) else float(val)))
         for metric in METRIC_NAMES:
             for ni, n in enumerate(self.ns):
-                rows.append(("mean", n, metric, repr(float(self.means[metric][ni]))))
+                rows.append(("mean", n, metric, float(self.means[metric][ni])))
         return rows
 
     def summary(self) -> dict:
@@ -196,7 +196,7 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
             means[metric] = vals.mean(axis=0)
     if kept:
         levels = np.flatnonzero(seen_levels)
-        curves = (wr_n_sum / kept, levels / db.layout.key_scale, wr_level_sum[levels] / kept)
+        curves = (wr_n_sum / kept, db.layout.distances(levels), wr_level_sum[levels] / kept)
     else:
         curves = (np.full(N, np.nan), np.array([0.0]), np.array([np.nan]))
     return MetricReport(

@@ -30,17 +30,15 @@ def fig4():
 def make_layout(widths, layers, K, scheme="effective"):
     """Hand-built layout for cases segment_layout's preconditions exclude,
     e.g. single-bit codes in gradient hand checks."""
-    from shdh.hierarchy import layer_weights
+    from shdh.hierarchy import key_weights, layer_weights
 
-    u = layer_weights(K)
+    u, w = layer_weights(K), key_weights(K)
     segments = []
-    bit_off = byte_off = 0
+    bit_off = 0
     for width, layer in zip(widths, layers):
-        seg = Segment(layer=layer, width=width, weight=float(u[layer - 1]),
-                      bit_offset=bit_off, byte_offset=byte_off)
-        segments.append(seg)
+        segments.append(Segment(layer=layer, width=width, weight=float(u[layer - 1]),
+                                key_weight=int(w[layer - 1]), bit_offset=bit_off))
         bit_off += width
-        byte_off += seg.n_bytes
     A = np.concatenate([np.full(s.width, s.weight) for s in segments])
     return SegmentLayout(L=sum(widths), K=K, scheme=scheme,
                          segments=tuple(segments), A=A)

@@ -1,11 +1,21 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import shdh
 from shdh.cli import build_parser, main
+from shdh.codes import CodeDatabase, SegmentLayout
 from shdh.errors import ShdhError
+from shdh.hierarchy import Taxonomy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_section():
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    return section[:section.index("\n## ")]
 
 
 def test_every_export_resolves():
@@ -23,10 +33,7 @@ def test_star_import():
 def test_readme_library_use_runs(tmp_path, monkeypatch):
     # the README's "Library use" examples, in order, on a small `shdh gen`
     # set; only the iteration count is lowered
-    text = README.read_text()
-    section = text[text.index("## Library use"):]
-    section = section[:section.index("\n## ")]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", library_use_section(), flags=re.S)
     assert blocks and "iters=200" in blocks[0]
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "--out-dir", "data", "--n-train", "200", "--n-query", "5",
@@ -35,6 +42,28 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     for block in blocks:
         exec(block.replace("iters=200", "iters=2"), namespace)
     assert namespace["report"].ns == [100] and len(namespace["curves"].wr_by_n) == 200
+
+
+def test_readme_library_use_names_only_calls_that_exist():
+    # documentation drift: every call that the "Library use" prose names in
+    # backticks resolves: a bare name in shdh or one of its modules,
+    # shdh.<module>.<name> in that module, and tax.<name>, qdb.<name> and
+    # layout.<name> on Taxonomy, CodeDatabase and SegmentLayout
+    prose = re.sub(r"```.*?```", "", library_use_section(), flags=re.S)
+    calls = set(re.findall(r"`([\w.]+)\(", prose))
+    modules = [shdh] + [importlib.import_module(f"shdh.{m.name}")
+                        for m in pkgutil.iter_modules(shdh.__path__) if not m.name.startswith("_")]
+    # by module name, since shdh.train is the function and not the module
+    owners = {"tax": Taxonomy, "qdb": CodeDatabase, "layout": SegmentLayout,
+              **{m.__name__: m for m in modules}}
+
+    def resolves(call):
+        owner, _, name = call.rpartition(".")
+        if not owner:
+            return any(hasattr(module, name) for module in modules)
+        return owner in owners and hasattr(owners[owner], name)
+
+    assert calls and sorted(call for call in calls if not resolves(call)) == []
 
 
 def test_readme_exit_code_table_lists_every_error():

@@ -568,13 +568,17 @@ class TestTextInputs:
 
 class TestInspect:
     def test_each_format(self, dataset, trained, capsys):
+        infos = {}
         for path, fmt in [(dataset / "train.shdf", "SHDF"),
                           (trained / "db.shdc", "SHDC"),
                           (trained / "model.shdm", "SHDM")]:
             rc = main(["inspect", str(path)])
             assert rc == 0
-            info = json.loads(capsys.readouterr().out)
-            assert info["format"] == fmt
+            infos[fmt] = json.loads(capsys.readouterr().out)
+            assert infos[fmt]["format"] == fmt
+        # the codes and the model that made them report the same layout
+        fields = ("bits", "height", "scheme", "segment_widths", "segment_weights")
+        assert [infos["SHDM"].get(f) for f in fields] == [infos["SHDC"][f] for f in fields]
 
     def test_unrecognized(self, tmp_path, capsys):
         p = tmp_path / "x.bin"

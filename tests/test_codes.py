@@ -29,7 +29,7 @@ from shdh.errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from shdh.hierarchy import layer_weights
+from shdh.hierarchy import key_weights, layer_weights
 from shdh.index import distance_keys
 from shdh.io import read_codes, write_codes
 
@@ -68,6 +68,17 @@ class TestSegmentLayout:
                 assert seg.weight == u[seg.layer - 1]
             assert len(layout.A) == L
 
+    def test_weights_and_key_weights_agree(self):
+        # each segment's float weight is its integer key weight over the
+        # key scale, bit for bit, for every height an SHDC header can record
+        for K in range(2, 256):
+            w = key_weights(K)
+            for scheme in ("effective", "paper-literal"):
+                layout = segment_layout(K + 1, K, scheme)
+                for seg in layout.segments:
+                    assert seg.key_weight == w[seg.layer - 1]
+                    assert seg.weight == seg.key_weight / layout.key_scale
+
     def test_code_too_short(self):
         with pytest.raises(CodeTooShort):
             segment_layout(3, 4, "paper-literal")
@@ -98,7 +109,7 @@ class TestSegmentLayout:
     def test_byte_alignment(self):
         layout = segment_layout(31, 3)  # widths (15, 16)
         assert layout.segments[0].n_bytes == 2
-        assert layout.segments[1].byte_offset == 2
+        assert layout.segments[1].bit_offset == 15 and layout.segments[1].n_bytes == 2
         assert layout.total_bytes == 4
         # every byte scores its valid bits only: 8, 7 (one padding bit), 8, 8
         q = CodeDatabase(layout=layout, packed=np.zeros((1, 4), np.uint8))
@@ -392,8 +403,9 @@ class TestEncodeBatch:
         X = np.random.default_rng(n).normal(size=(n, 5)).astype(np.float32)
         db = encode_batch(model, X)
         assert db.packed.shape == (n, layout.total_bytes)
-        for seg in layout.segments:
-            assert not (db.packed[:, seg.byte_offset + seg.n_bytes - 1] >> seg.width % 8).any()
+        last_byte = np.cumsum([seg.n_bytes for seg in layout.segments]) - 1
+        for seg, byte in zip(layout.segments, last_byte):
+            assert not (db.packed[:, byte] >> seg.width % 8).any()
         relaxed = forward_rows_brute(model.W, model.v, X)
         clear = np.abs(relaxed) > 1e-9
         assert n == 0 or clear.mean() > 0.99

@@ -11,7 +11,7 @@ from shdh.errors import (
     SimilarityCapExceeded,
     UnknownLabel,
 )
-from shdh.hierarchy import DEFAULT_MATRIX_CAP, Taxonomy, layer_weights
+from shdh.hierarchy import DEFAULT_MATRIX_CAP, Taxonomy, key_weights, layer_weights
 from shdh.io import parse_taxonomy
 
 from oracles import (
@@ -89,6 +89,17 @@ class TestLayerWeights:
     def test_height_too_small(self):
         with pytest.raises(HeightTooSmall):
             layer_weights(1)
+
+    def test_key_weights_over_scale_equal_the_formula(self):
+        # the integer table over K(K-1)/2 is the float formula
+        # 2(K+1-k)/(K(K-1)) bit for bit, for every height an SHDC header can record
+        for K in range(2, 256):
+            w = key_weights(K)
+            assert w.tolist() == [0] + [K + 1 - k for k in range(2, K + 1)]
+            assert not w.flags.writeable and not layer_weights(K).flags.writeable
+            formula = [0.0] + [2 * (K + 1 - k) / (K * (K - 1)) for k in range(2, K + 1)]
+            assert layer_weights(K).tolist() == formula
+            assert np.array_equal(layer_weights(K), w / (K * (K - 1) // 2))
 
 
 def leaf_similarity(tax, a, b):

@@ -10,7 +10,6 @@ from shdh.index import (
     radius_key_bound,
     search_radius,
     search_topn,
-    weighted_distance,
 )
 
 from conftest import random_codes
@@ -30,13 +29,13 @@ def hand_layout():
 class TestWeightedDistance:
     def test_identity(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, -1, 1])
-        assert weighted_distance(a, a) == 0.0
+        assert hand_layout.distances(distance_keys(a, a)).tolist() == [0.0]
 
     def test_hand_case(self, hand_layout):
         # a = ++|++, b = +-|--: one differing bit at weight 2/3, two at 1/3
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
         b = code_from_signs(hand_layout, [1, -1, -1, -1])
-        d = weighted_distance(a, b)
+        (d,) = hand_layout.distances(distance_keys(b, a))
         assert d == pytest.approx(2 / 3 + 2 / 3, rel=1e-15)
         # the matching weighted inner product: 2/3*(2-2*1) + 1/3*(2-2*2)
         res = search_topn(b, a, 1)
@@ -45,35 +44,32 @@ class TestWeightedDistance:
     def test_complement_is_max(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
         b = code_from_signs(hand_layout, [-1, -1, -1, -1])
-        assert weighted_distance(a, b) == pytest.approx(hand_layout.max_distance, rel=1e-15)
+        (d,) = hand_layout.distances(distance_keys(b, a))
+        assert d == pytest.approx(hand_layout.max_distance, rel=1e-15)
 
     def test_layout_mismatch(self, hand_layout):
         other = segment_layout(4, 2)
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
         b = code_from_signs(other, [1, 1, 1, 1])
         with pytest.raises(LayoutMismatch):
-            weighted_distance(a, b)
+            distance_keys(b, a)
 
     def test_zero_weight_segment_ignored(self):
         layout = segment_layout(6, 3, "paper-literal")  # widths (2,2,2), w (0, 2/3, 1/3)
         a = code_from_signs(layout, [1, 1, 1, 1, 1, 1])
         b = code_from_signs(layout, [-1, -1, 1, 1, 1, 1])  # differs only in segment 1
-        assert weighted_distance(a, b) == 0.0
+        assert distance_keys(b, a).tolist() == [0]
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(31)
         layout = segment_layout(24, 4)
-        packed = random_codes(rng, layout, 30)
-        codes = [CodeDatabase(layout=layout, packed=packed[i:i + 1]) for i in range(30)]
-        for _ in range(100):
-            i, j, k = rng.integers(0, 30, size=3)
-            dij = weighted_distance(codes[i], codes[j])
-            dji = weighted_distance(codes[j], codes[i])
-            assert dij == dji
-            assert 0.0 <= dij <= layout.max_distance
-            djk = weighted_distance(codes[j], codes[k])
-            dik = weighted_distance(codes[i], codes[k])
-            assert dik <= dij + djk + 1e-12
+        db = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 30))
+        # D[i, j]: D_w from code i to code j, every pair
+        D = layout.distances(np.stack([distance_keys(db, db.code(i)) for i in range(30)]))
+        np.testing.assert_array_equal(D, D.T)
+        assert np.all((D >= 0.0) & (D <= layout.max_distance))
+        # D[i, k] <= D[i, j] + D[j, k] for every triple (i, j, k)
+        assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-12)
 
 
 def fraction_distance(layout, a, b):
@@ -125,11 +121,11 @@ class TestDistanceKeys:
         q = db.code(0)
         keys = distance_keys(db, q)
         np.testing.assert_array_equal(keys, exact_keys(layout, packed, q.packed))
+        distances = layout.distances(keys)
         for i in range(50):
-            c = db.code(i)
-            assert keys[i] / layout.key_scale == weighted_distance(q, c)
-            assert Fraction(int(keys[i]), layout.key_scale) == fraction_distance(
-                layout, signs(q), signs(c))
+            exact = fraction_distance(layout, signs(q), signs(db.code(i)))
+            assert Fraction(int(keys[i]), layout.key_scale) == exact
+            assert distances[i] == float(exact)  # both correctly rounded
 
     def test_complement_scores_every_bit(self):
         # a full word of differing bits, and keys past the uint16 range
@@ -291,6 +287,13 @@ class TestSearchRadius:
         res = search_radius(db, q, float(r))
         assert res.ids == full.ids[:m]
         np.testing.assert_array_equal(res.distances, full.distances[:m])
+
+    def test_negative_or_nan_radius_raises(self):
+        layout = segment_layout(8, 2)
+        a = code_from_signs(layout, [1] * 8)
+        for r in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="radius must be >= 0, got"):
+                search_radius(a, a, r)
 
     def test_key_bound_is_largest_reported_level(self):
         # level / scale * scale rounds below the level for some K (e.g. 7/55*55)
