@@ -31,6 +31,7 @@ from .errors import (
     ShdhError,
     UnknownQueryId,
 )
+from .hierarchy import layer_weights
 from .index import search_topn
 from .io import (
     atomic_write,
@@ -77,7 +78,7 @@ def _number(flag: str, kind=int, minimum=None, many=False):
 def _write_manifest(primary_output, args: argparse.Namespace):
     effective = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "config") and not k.startswith("_")
+        if k not in ("func", "config")
     }
     manifest = {"command": args.command, "version": __version__, "effective_config": effective}
     with atomic_write(str(primary_output) + ".manifest.json", "w") as f:
@@ -230,7 +231,7 @@ def _layout_info(layout) -> dict:
         "height": layout.K,
         "scheme": layout.scheme,
         "segment_widths": list(layout.widths),
-        "segment_weights": [s.weight for s in layout.segments],
+        "segment_weights": layer_weights(layout.K)[[s.layer - 1 for s in layout.segments]].tolist(),
     }
 
 

@@ -13,7 +13,7 @@ knows that format; a single code is a one-row `CodeDatabase`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,7 @@ ENCODE_BLOCK = 1024
 class Segment:
     layer: int      # taxonomy layer this segment encodes
     width: int      # bits
-    weight: float   # layer weight u_k
-    key_weight: int  # u_k * key_scale, the integer weight of the distance keys
+    key_weight: int  # key_weights(K)[layer - 1], the integer weight of the distance keys
     bit_offset: int
 
     @property
@@ -55,8 +54,6 @@ class SegmentLayout:
     K: int
     scheme: str
     segments: tuple[Segment, ...]
-    # Weight of each bit position (length L); derived, so excluded from equality.
-    A: np.ndarray = field(repr=False, compare=False)
 
     @property
     def total_bytes(self) -> int:
@@ -67,8 +64,14 @@ class SegmentLayout:
         return tuple(s.width for s in self.segments)
 
     @property
+    def A(self) -> np.ndarray:
+        """Weight u_k of each bit position (length L), from layer_weights."""
+        return np.repeat(layer_weights(self.K)[[s.layer - 1 for s in self.segments]], self.widths)
+
+    @property
     def max_distance(self) -> float:
-        return float(sum(s.weight * s.width for s in self.segments))
+        """D_w of two codes that differ in every bit."""
+        return float(self.distances(self.max_key))
 
     @property
     def key_scale(self) -> int:
@@ -87,10 +90,10 @@ class SegmentLayout:
 
 
 def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLayout:
-    """Split L bits into per-layer segments with their layer weights."""
+    """Split L bits into per-layer segments with their integer key weights."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    w, u = key_weights(K), layer_weights(K)  # validates K >= 2
+    w = key_weights(K)  # validates K >= 2
     n_seg = K if scheme == SCHEME_PAPER_LITERAL else K - 1
     if L <= n_seg:
         raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
@@ -109,15 +112,12 @@ def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLay
         segments.append(Segment(
             layer=layer,
             width=width,
-            weight=float(u[layer - 1]),
             key_weight=int(w[layer - 1]),
             bit_offset=bit_off,
         ))
         bit_off += width
 
-    A = np.concatenate([np.full(s.width, s.weight) for s in segments])
-    A.setflags(write=False)
-    return SegmentLayout(L=L, K=K, scheme=scheme, segments=tuple(segments), A=A)
+    return SegmentLayout(L=L, K=K, scheme=scheme, segments=tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def segment_masks(layout: SegmentLayout) -> np.ndarray:
 def quantize(relaxed: np.ndarray, layout: SegmentLayout) -> CodeDatabase:
     """Pack an n x L batch with sgn(0) = -1: bit 1 where the value is
     strictly positive."""
-    relaxed = np.asarray(relaxed, dtype=np.float64)
+    relaxed = np.asarray(relaxed)
     if relaxed.ndim != 2 or relaxed.shape[1] != layout.L:
         raise ShapeMismatch(f"expected n x {layout.L} values, got shape {relaxed.shape}")
     if not np.isfinite(relaxed).all():

@@ -46,7 +46,6 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticData:
-    config: SyntheticConfig
     taxonomy_edges: list[tuple[str, str]]
     train_features: np.ndarray   # float32, n_train x dim
     train_labels: list[str]
@@ -101,7 +100,6 @@ def generate(config: SyntheticConfig) -> SyntheticData:
     train_X, train_labels = sample_split(config.n_train)
     query_X, query_labels = sample_split(config.n_query)
     return SyntheticData(
-        config=config,
         taxonomy_edges=edges,
         train_features=train_X,
         train_labels=train_labels,

@@ -29,7 +29,7 @@ DEFAULT_MATRIX_CAP = 20_000
 def key_weights(K: int) -> np.ndarray:
     """Read-only integer layer weights (length K, w[k-1] weighs layer k):
     w_k = K+1-k for k >= 2, w_1 = 0. The one statement of the layer
-    weighting; `layer_weights` and the search keys both come from it."""
+    weighting; `layer_weights`, the similarity table and the keys derive from it."""
     if K < 2:
         raise HeightTooSmall(f"taxonomy height must be >= 2, got {K}")
     w = K + 1 - np.arange(1, K + 1, dtype=np.int64)
@@ -50,15 +50,13 @@ def layer_weights(K: int) -> np.ndarray:
 def _similarity_by_depth(K: int) -> np.ndarray:
     """Similarity for a pair whose deepest common ancestor sits at depth d.
 
-    Equals 2 * sum_{k=2..d} u_k - 1, evaluated in closed form so that the
-    endpoints are exact: d=1 gives -1.0 and d=K gives 1.0 bit for bit.
-    Index 0 of the returned table is unused (d >= 1 always; the root is
-    shared by every pair).
+    Equals 2 * sum_{k=2..d} u_k - 1, evaluated as 1 - 2 * (key weights of
+    the layers below d) / (their sum), so that the endpoints are exact: d=1
+    gives -1.0 and d=K gives 1.0 bit for bit. Index 0 of the returned table
+    is unused (d >= 1 always; the root is shared by every pair).
     """
-    table = np.empty(K + 1, dtype=np.float64)
-    table[0] = np.nan
-    for d in range(1, K + 1):
-        table[d] = 1.0 - 2.0 * ((K - d) * (K - d + 1)) / (K * (K - 1))
+    w = key_weights(K)
+    table = np.append(np.nan, 1.0 - 2 * (w.sum() - np.cumsum(w)) / w.sum())
     table.setflags(write=False)
     return table
 

@@ -30,18 +30,16 @@ def fig4():
 def make_layout(widths, layers, K, scheme="effective"):
     """Hand-built layout for cases segment_layout's preconditions exclude,
     e.g. single-bit codes in gradient hand checks."""
-    from shdh.hierarchy import key_weights, layer_weights
+    from shdh.hierarchy import key_weights
 
-    u, w = layer_weights(K), key_weights(K)
+    w = key_weights(K)
     segments = []
     bit_off = 0
     for width, layer in zip(widths, layers):
-        segments.append(Segment(layer=layer, width=width, weight=float(u[layer - 1]),
-                                key_weight=int(w[layer - 1]), bit_offset=bit_off))
+        segments.append(Segment(layer=layer, width=width, key_weight=int(w[layer - 1]),
+                                bit_offset=bit_off))
         bit_off += width
-    A = np.concatenate([np.full(s.width, s.weight) for s in segments])
-    return SegmentLayout(L=sum(widths), K=K, scheme=scheme,
-                         segments=tuple(segments), A=A)
+    return SegmentLayout(L=sum(widths), K=K, scheme=scheme, segments=tuple(segments))
 
 
 def random_codes(rng, layout, n):

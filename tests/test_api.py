@@ -3,11 +3,15 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import shdh
 from shdh.cli import build_parser, main
-from shdh.codes import CodeDatabase, SegmentLayout
+from shdh.codes import CodeDatabase, segment_layout
 from shdh.errors import ShdhError
-from shdh.hierarchy import Taxonomy
+from shdh.io import parse_taxonomy
+
+from conftest import TOY3_TEXT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,26 +48,66 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     assert namespace["report"].ns == [100] and len(namespace["curves"].wr_by_n) == 200
 
 
-def test_readme_library_use_names_only_calls_that_exist():
-    # documentation drift: every call that the "Library use" prose names in
-    # backticks resolves: a bare name in shdh or one of its modules,
-    # shdh.<module>.<name> in that module, and tax.<name>, qdb.<name> and
-    # layout.<name> on Taxonomy, CodeDatabase and SegmentLayout
-    prose = re.sub(r"```.*?```", "", library_use_section(), flags=re.S)
-    calls = set(re.findall(r"`([\w.]+)\(", prose))
+def readme_name_resolver():
+    """resolves(name) for a name the README gives in backticks: shdh.<module>
+    and shdh.<module>.<name> against the modules (shdh.train is also the
+    function, so modules are imported by name), <module>.<name> as
+    shdh.<module>.<name>, a bare name in shdh or one of its modules, and
+    Taxonomy, SegmentLayout, CodeDatabase and Segment (or the examples'
+    tax, layout, qdb and db) against a toy instance, since some attributes,
+    such as Taxonomy.sim_by_depth, exist only on an instance."""
     modules = [shdh] + [importlib.import_module(f"shdh.{m.name}")
                         for m in pkgutil.iter_modules(shdh.__path__) if not m.name.startswith("_")]
-    # by module name, since shdh.train is the function and not the module
-    owners = {"tax": Taxonomy, "qdb": CodeDatabase, "layout": SegmentLayout,
-              **{m.__name__: m for m in modules}}
+    tax = parse_taxonomy(TOY3_TEXT)
+    layout = segment_layout(16, tax.K)
+    db = CodeDatabase(layout=layout, packed=np.zeros((2, layout.total_bytes), np.uint8))
+    instances = {"Taxonomy": tax, "tax": tax, "SegmentLayout": layout, "layout": layout,
+                 "CodeDatabase": db, "qdb": db, "db": db, "Segment": layout.segments[0]}
 
-    def resolves(call):
-        owner, _, name = call.rpartition(".")
-        if not owner:
+    def resolves(name):
+        head, *rest = name.split(".")
+        if not rest:
             return any(hasattr(module, name) for module in modules)
-        return owner in owners and hasattr(owners[owner], name)
+        if head in instances:
+            obj = instances[head]
+        else:
+            parts = name.split(".") if head == "shdh" else ["shdh", *name.split(".")]
+            # the longest prefix that is a module, then attributes
+            for i in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:i]))
+                except ModuleNotFoundError:
+                    continue
+                rest = parts[i:]
+                break
+        for attr in rest:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
 
+    return resolves
+
+
+def test_readme_library_use_names_only_calls_that_exist():
+    # documentation drift: every call that the "Library use" prose names in
+    # backticks resolves
+    prose = re.sub(r"```.*?```", "", library_use_section(), flags=re.S)
+    calls = set(re.findall(r"`([\w.]+)\(", prose))
+    resolves = readme_name_resolver()
     assert calls and sorted(call for call in calls if not resolves(call)) == []
+
+
+def test_readme_dotted_names_resolve():
+    # documentation drift: every dotted name in backticks anywhere in the
+    # README outside code blocks resolves; a file name after a "/" is a path
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = {name for span in re.findall(r"`([^`\n]+)`", prose)
+             for name in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)}
+    resolves = readme_name_resolver()
+    assert {"SegmentLayout.distances", "Taxonomy.sim_by_depth",
+            "shdh.codes.ENCODE_BLOCK"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []
 
 
 def test_readme_exit_code_table_lists_every_error():

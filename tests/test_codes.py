@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from shdh.codes import (
     Architecture,
     CodeDatabase,
     HashModel,
+    Segment,
+    SegmentLayout,
     _forward,
     encode_batch,
     forward,
@@ -41,13 +44,13 @@ class TestSegmentLayout:
     def test_paper_literal_32_3(self):
         layout = segment_layout(32, 3, "paper-literal")
         assert layout.widths == (10, 10, 12)
-        assert [s.weight for s in layout.segments] == [0.0, 2 / 3, 1 / 3]
+        assert [layer_weights(3)[s.layer - 1] for s in layout.segments] == [0.0, 2 / 3, 1 / 3]
         assert [s.layer for s in layout.segments] == [1, 2, 3]
 
     def test_effective_32_3(self):
         layout = segment_layout(32, 3)
         assert layout.widths == (16, 16)
-        assert [s.weight for s in layout.segments] == [2 / 3, 1 / 3]
+        assert [layer_weights(3)[s.layer - 1] for s in layout.segments] == [2 / 3, 1 / 3]
         assert [s.layer for s in layout.segments] == [2, 3]
 
     def test_paper_literal_64_4(self):
@@ -55,29 +58,44 @@ class TestSegmentLayout:
         assert layout.widths == (16, 16, 16, 16)
 
     def test_widths_sum_and_weights_match_layer_weights(self):
+        # A is layer_weights gathered per bit: every bit of a segment
+        # carries its layer's weight
         rng = np.random.default_rng(5)
         for _ in range(30):
             K = int(rng.integers(2, 8))
-            scheme = rng.choice(["effective", "paper-literal"])
-            n_seg = K if scheme == "paper-literal" else K - 1
-            L = int(rng.integers(n_seg + 1, 129))
-            layout = segment_layout(L, K, scheme)
-            assert sum(layout.widths) == L
             u = layer_weights(K)
-            for seg in layout.segments:
-                assert seg.weight == u[seg.layer - 1]
-            assert len(layout.A) == L
+            for scheme in ("effective", "paper-literal"):
+                n_seg = K if scheme == "paper-literal" else K - 1
+                L = int(rng.integers(n_seg + 1, 129))
+                layout = segment_layout(L, K, scheme)
+                assert sum(layout.widths) == L
+                assert layout.A.shape == (L,) and layout.A.dtype == np.float64
+                for seg in layout.segments:
+                    bits = layout.A[seg.bit_offset:seg.bit_offset + seg.width]
+                    assert np.all(bits == u[seg.layer - 1])
 
     def test_weights_and_key_weights_agree(self):
-        # each segment's float weight is its integer key weight over the
+        # each segment's layer weight is its integer key weight over the
         # key scale, bit for bit, for every height an SHDC header can record
         for K in range(2, 256):
-            w = key_weights(K)
+            w, u = key_weights(K), layer_weights(K)
             for scheme in ("effective", "paper-literal"):
                 layout = segment_layout(K + 1, K, scheme)
                 for seg in layout.segments:
                     assert seg.key_weight == w[seg.layer - 1]
-                    assert seg.weight == seg.key_weight / layout.key_scale
+                    assert u[seg.layer - 1] == seg.key_weight / layout.key_scale
+
+    def test_no_stored_float_weight(self):
+        # the layer weighting lives in key_weights alone: a segment stores
+        # only its integer key weight, and A is derived on each access
+        assert [f.name for f in dataclasses.fields(Segment)] == [
+            "layer", "width", "key_weight", "bit_offset"]
+        assert [f.name for f in dataclasses.fields(SegmentLayout)] == [
+            "L", "K", "scheme", "segments"]
+        layout = segment_layout(32, 4, "paper-literal")
+        for obj in (layout, *layout.segments):
+            for f in dataclasses.fields(obj):
+                assert not isinstance(getattr(obj, f.name), (float, np.floating, np.ndarray))
 
     def test_code_too_short(self):
         with pytest.raises(CodeTooShort):
@@ -281,6 +299,21 @@ class TestQuantize:
         layout = segment_layout(8, 3)
         with pytest.raises(NonFiniteInput):
             quantize(np.array([[np.inf] + [0.0] * 7]), layout)
+
+    def test_float32_batch_is_not_copied(self):
+        # signs are tested in the batch's own dtype: a float64 copy of a
+        # float32 batch would take twice the batch's bytes, while the bit
+        # matrices and packed codes take about a quarter of them
+        layout = segment_layout(64, 3)
+        x = np.random.default_rng(0).standard_normal((20_000, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            db = quantize(x, layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert db.packed.tobytes() == quantize(x.astype(np.float64), layout).packed.tobytes()
+        assert peak < 0.5 * x.nbytes, f"quantize peaked at {peak / x.nbytes:.2f} x the batch"
 
 
 class TestPackRoundTrip:

@@ -102,6 +102,23 @@ class TestLayerWeights:
             assert np.array_equal(layer_weights(K), w / (K * (K - 1) // 2))
 
 
+def closed_form_similarity(K, d):
+    """2 * sum_{k=2..d} u_k - 1 in closed form: 1 - 2(K-d)(K-d+1)/(K(K-1))."""
+    return 1.0 - 2.0 * ((K - d) * (K - d + 1)) / (K * (K - 1))
+
+
+def test_sim_by_depth_is_the_closed_form_bit_for_bit():
+    # the table derives from key_weights and rounds as the closed form does,
+    # for every height an SHDC header can record; -1.0 and 1.0 stay exact
+    for K in range(2, 256):
+        tax = Taxonomy({f"n{i}": (f"n{i - 1}" if i > 1 else None) for i in range(1, K + 1)})
+        table = tax.sim_by_depth
+        assert tax.K == K and np.isnan(table[0]) and not table.flags.writeable
+        oracle = np.array([closed_form_similarity(K, d) for d in range(1, K + 1)])
+        assert table[1:].tobytes() == oracle.tobytes()
+        assert table[1] == -1.0 and table[K] == 1.0
+
+
 def leaf_similarity(tax, a, b):
     """Similarity of two leaf labels: the table at their shared depth."""
     rows = tax.label_rows([a, b])

@@ -5,6 +5,7 @@ import pytest
 
 from shdh.codes import CodeDatabase, quantize, segment_layout
 from shdh.errors import EmptyDatabase, LayoutMismatch, ShapeMismatch
+from shdh.hierarchy import layer_weights
 from shdh.index import (
     distance_keys,
     radius_key_bound,
@@ -232,13 +233,14 @@ class TestSearch:
         q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         res = search_topn(db, q, 40)
         # inner = sum_k u_k (L_k - 2 ham_k); check via per-segment recompute
+        u = layer_weights(layout.K)
         for item_id, dist, inner in res.rows():
             check = 0.0
             qa, ca = signs(q), signs(db.code(item_id))
             for seg in layout.segments:
                 sl = slice(seg.bit_offset, seg.bit_offset + seg.width)
                 ham = int((qa[sl] != ca[sl]).sum())
-                check += seg.weight * (seg.width - 2 * ham)
+                check += u[seg.layer - 1] * (seg.width - 2 * ham)
             assert inner == pytest.approx(check, abs=1e-9)
 
     def test_ranking_by_distance_equals_ranking_by_inner(self):
@@ -268,6 +270,22 @@ class TestSearchRadius:
         q = CodeDatabase(layout=layout, packed=packed[3:4])
         res = search_radius(db, q, layout.max_distance)
         assert len(res) == 25
+
+    def test_max_distance_is_the_distance_of_a_complement(self):
+        # max_distance is the D_w of the max key, through the one key-to-D_w
+        # conversion, so a radius search at it keeps a code's complement on
+        # every layout. A float sum of the layer weights missed it on
+        # segment_layout(5, 3), whose max_distance read 7/3 - 1 ulp.
+        for K in range(2, 12):
+            for scheme in ("effective", "paper-literal"):
+                n_seg = K if scheme == "paper-literal" else K - 1
+                for L in range(n_seg + 1, 129):
+                    layout = segment_layout(L, K, scheme)
+                    assert layout.max_distance == float(layout.distances(layout.max_key))
+                    signs_ = np.where(np.arange(L) % 3 == 0, 1.0, -1.0)
+                    db = quantize(np.stack([signs_, -signs_]), layout)
+                    res = search_radius(db, db.code(0), layout.max_distance)
+                    assert res.ids == [0, 1], (L, K, scheme)
 
     def test_hand_radius(self, hand_layout):
         a = code_from_signs(hand_layout, [1, 1, 1, 1])
@@ -312,7 +330,7 @@ class TestSearchRadius:
         db = CodeDatabase(layout=layout, packed=packed)
         q = CodeDatabase(layout=layout, packed=random_codes(rng, layout, 1))
         key = exact_keys(layout, packed, q.packed)
-        u = [s.weight for s in layout.segments]
+        u = layer_weights(layout.K)
         for level in np.unique(key)[:40]:
             d = level / layout.key_scale
             # radii at, just below and just above the level, and a float sum
