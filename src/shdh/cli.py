@@ -26,7 +26,6 @@ from .errors import (
     BadQueryFlags,
     EmptyDatabase,
     FileFormatError,
-    FileNotFound,
     InvalidNumber,
     ShdhError,
     UnknownQueryId,
@@ -35,6 +34,7 @@ from .hierarchy import layer_weights
 from .index import search_topn
 from .io import (
     atomic_write,
+    open_binary,
     read_codes,
     read_features,
     read_labels,
@@ -45,6 +45,7 @@ from .io import (
     write_codes,
     write_csv,
     write_features,
+    write_json,
     write_labels,
     write_model,
     write_taxonomy,
@@ -76,14 +77,9 @@ def _number(flag: str, kind=int, minimum=None, many=False):
 
 
 def _write_manifest(primary_output, args: argparse.Namespace):
-    effective = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "config")
-    }
-    manifest = {"command": args.command, "version": __version__, "effective_config": effective}
-    with atomic_write(str(primary_output) + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    effective = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+    write_json(str(primary_output) + ".manifest.json",
+               {"command": args.command, "version": __version__, "effective_config": effective})
 
 
 def _load_config_defaults(argv, subparsers):
@@ -205,9 +201,7 @@ def cmd_eval(args) -> int:
     prefix = str(args.out_prefix)
     write_csv(prefix + ".metrics.csv", ["query_id", "n", "metric", "value"],
               report.to_csv_rows())
-    with atomic_write(prefix + ".summary.json", "w") as f:
-        f.write(report.to_json())
-        f.write("\n")
+    write_json(prefix + ".summary.json", report.summary())
 
     # write_csv writes a float as its repr; the N curve rows are never listed
     write_csv(prefix + ".wr_vs_n.csv", ["n", "mean_weighted_recall"],
@@ -237,11 +231,8 @@ def _layout_info(layout) -> dict:
 
 def cmd_inspect(args) -> int:
     path = args.file
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(4)
-    except FileNotFoundError:
-        raise FileNotFound(f"no such file: {path}") from None
+    with open_binary(path) as f:
+        magic = f.read(4)
     if magic == b"SHDF":
         X = read_features(path)
         info = {"format": "SHDF", "items": int(X.shape[0]), "dim": int(X.shape[1])}

@@ -13,7 +13,9 @@ knows that format; a single code is a one-row `CodeDatabase`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,10 +52,38 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentLayout:
+    """One segment per taxonomy layer, with its integer key weight. (L, K,
+    scheme), all that an SHDC/SHDM layout block records, fixes the rest."""
+
     L: int
     K: int
-    scheme: str
-    segments: tuple[Segment, ...]
+    scheme: str = SCHEME_EFFECTIVE
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        key_weights(self.K)  # validates K >= 2
+        L, K, n_seg = self.L, self.K, len(self._layers)
+        if L <= n_seg:
+            raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
+        if L > 0xFFFF:  # the L field of the SHDC/SHDM layout block is a u16
+            raise CodeTooLong(f"{L} bits exceed 65535, the most an SHDC/SHDM header can record")
+        if K > 0xFF:  # and its K field a u8
+            raise HeightTooLarge(f"height {K} exceeds 255, the most an SHDC/SHDM header can record")
+
+    @property
+    def _layers(self) -> range:
+        return range(1 if self.scheme == SCHEME_PAPER_LITERAL else 2, self.K + 1)
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """L // n_seg bits per segment and the remainder in the last one."""
+        w, n_seg = key_weights(self.K), len(self._layers)
+        base = self.L // n_seg
+        widths = [base] * (n_seg - 1) + [self.L - base * (n_seg - 1)]
+        offsets = itertools.accumulate(widths, initial=0)
+        return tuple(Segment(layer=layer, width=width, key_weight=int(w[layer - 1]), bit_offset=off)
+                     for layer, width, off in zip(self._layers, widths, offsets))
 
     @property
     def total_bytes(self) -> int:
@@ -89,35 +119,8 @@ class SegmentLayout:
         return np.asarray(keys, dtype=np.int64) / self.key_scale
 
 
-def segment_layout(L: int, K: int, scheme: str = SCHEME_EFFECTIVE) -> SegmentLayout:
-    """Split L bits into per-layer segments with their integer key weights."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    w = key_weights(K)  # validates K >= 2
-    n_seg = K if scheme == SCHEME_PAPER_LITERAL else K - 1
-    if L <= n_seg:
-        raise CodeTooShort(f"{L} bits cannot hold {n_seg} non-empty segments (need L > {n_seg})")
-    if L > 0xFFFF:  # the L field of the SHDC/SHDM layout block is a u16
-        raise CodeTooLong(f"{L} bits exceed 65535, the most an SHDC/SHDM header can record")
-    if K > 0xFF:  # and its K field a u8
-        raise HeightTooLarge(f"height {K} exceeds 255, the most an SHDC/SHDM header can record")
-    base = L // n_seg
-    widths = [base] * (n_seg - 1) + [L - base * (n_seg - 1)]
-    first_layer = 1 if scheme == SCHEME_PAPER_LITERAL else 2
-
-    segments = []
-    bit_off = 0
-    for i, width in enumerate(widths):
-        layer = first_layer + i
-        segments.append(Segment(
-            layer=layer,
-            width=width,
-            key_weight=int(w[layer - 1]),
-            bit_offset=bit_off,
-        ))
-        bit_off += width
-
-    return SegmentLayout(L=L, K=K, scheme=scheme, segments=tuple(segments))
+# the name most callers use; the class is the one constructor
+segment_layout = SegmentLayout
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,29 @@ class Architecture:
 
 @dataclass(eq=False)
 class HashModel:
-    arch: Architecture
+    """Layers whose shapes chain and state the Architecture; the last has layout.L rows."""
+
     layout: SegmentLayout
     W: list[np.ndarray]  # W[m]: (e_m x e_{m-1})
     v: list[np.ndarray]  # v[m]: (e_m,)
+
+    def __post_init__(self):
+        W, v = self.W, self.v
+        if not W or len(v) != len(W) or any(w.ndim != 2 for w in W):
+            raise ShapeMismatch(f"a model needs at least one layer and one v per 2-D W; "
+                                f"got {len(W)} W and {len(v)} v")
+        arch = self.arch  # checks that every width is >= 1
+        if [(w.shape, b.shape) for w, b in zip(W, v)] != [(d, d[:1]) for d in arch.layer_dims]:
+            raise ShapeMismatch(f"layer shapes {[w.shape for w in W]} with bias shapes "
+                                f"{[b.shape for b in v]} do not chain")
+        if arch.L != self.layout.L:
+            raise ShapeMismatch(f"hashing layer width {arch.L} != layout width {self.layout.L}")
+
+    @cached_property
+    def arch(self) -> Architecture:
+        """The shape that W states: input width, hidden widths, code length."""
+        return Architecture(d=self.W[0].shape[1], hidden=tuple(w.shape[0] for w in self.W[:-1]),
+                            L=self.W[-1].shape[0])
 
     @property
     def n_layers(self) -> int:
@@ -152,15 +174,13 @@ class HashModel:
 
     def astype(self, dtype) -> HashModel:
         """This model with every W and v copied to dtype."""
-        return HashModel(arch=self.arch, layout=self.layout,
-                         W=[w.astype(dtype) for w in self.W], v=[b.astype(dtype) for b in self.v])
+        return HashModel(layout=self.layout, W=[w.astype(dtype) for w in self.W],
+                         v=[b.astype(dtype) for b in self.v])
 
 
 def init_model(arch: Architecture, layout: SegmentLayout, seed) -> HashModel:
     """Fresh model: hashing layer uniform in [0, 0.001), hidden layers
     uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Deterministic in seed."""
-    if arch.L != layout.L:
-        raise ShapeMismatch(f"architecture output {arch.L} != layout width {layout.L}")
     rng = np.random.default_rng(seed)
     dims = arch.layer_dims
     W, v = [], []
@@ -173,7 +193,7 @@ def init_model(arch: Architecture, layout: SegmentLayout, seed) -> HashModel:
             bound = 1.0 / np.sqrt(fan_in)
             W.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             v.append(rng.uniform(-bound, bound, size=fan_out))
-    return HashModel(arch=arch, layout=layout, W=W, v=v)
+    return HashModel(layout=layout, W=W, v=v)
 
 
 def forward(model: HashModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

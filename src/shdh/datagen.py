@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidNumber, NonFiniteInput
-from .hierarchy import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,6 @@ class SyntheticData:
     train_labels: list[str]
     query_features: np.ndarray   # float32, n_query x dim
     query_labels: list[str]
-
-    def taxonomy(self) -> Taxonomy:
-        parent = {"root": None}
-        for p, c in self.taxonomy_edges:
-            parent[c] = p
-        return Taxonomy(parent)
 
 
 def _super_name(i: int) -> str:

@@ -27,6 +27,7 @@ by one whole-text split instead, with the same result.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import struct
@@ -37,13 +38,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from .codes import (
-    Architecture,
     CodeDatabase,
     HashModel,
     SCHEME_EFFECTIVE,
     SCHEME_PAPER_LITERAL,
     SegmentLayout,
-    segment_layout,
     segment_masks,
 )
 from .errors import (CodeTooShort, DuplicateEdge, EmptyInput, FileFormatError, FileNotFound,
@@ -79,7 +78,8 @@ def atomic_write(path, mode="wb"):
         raise
 
 
-def _open_binary(path):
+def open_binary(path):
+    """open(path, "rb"); a missing file is FileNotFound (FILE_NOT_FOUND)."""
     try:
         return open(path, "rb")
     except FileNotFoundError:
@@ -146,7 +146,7 @@ def write_features(path, X: np.ndarray):
 
 
 def read_features(path) -> np.ndarray:
-    with _open_binary(path) as f:
+    with open_binary(path) as f:
         _check_magic(f, b"SHDF", path)
         n, d = _read_struct(f, "<QI", "feature header")
         X = _read_payload(f, path, (n, d), "<f4", "feature rows")
@@ -167,7 +167,7 @@ def _read_layout_block(f, path) -> SegmentLayout:
     if scheme_byte not in _BYTE_SCHEME:
         raise FileFormatError(f"{path}: unknown scheme byte {scheme_byte}")
     try:
-        layout = segment_layout(L, K, _BYTE_SCHEME[scheme_byte])
+        layout = SegmentLayout(L, K, _BYTE_SCHEME[scheme_byte])
     except (HeightTooSmall, CodeTooShort) as exc:
         raise FileFormatError(f"{path}: layout header L={L}, K={K}: {exc}") from None
     widths = tuple(_read_struct(f, "<H", "segment width")[0] for _ in layout.widths)
@@ -188,7 +188,7 @@ def write_codes(path, db: CodeDatabase):
 
 
 def read_codes(path) -> CodeDatabase:
-    with _open_binary(path) as f:
+    with open_binary(path) as f:
         _check_magic(f, b"SHDC", path)
         layout = _read_layout_block(f, path)
         (n,) = _read_struct(f, "<Q", "code count")
@@ -218,7 +218,7 @@ def write_model(path, model: HashModel):
 
 
 def read_model(path) -> HashModel:
-    with _open_binary(path) as f:
+    with open_binary(path) as f:
         _check_magic(f, b"SHDM", path)
         (n_layers,) = _read_struct(f, "<I", "layer count")
         W, v = [], []
@@ -228,31 +228,21 @@ def read_model(path) -> HashModel:
             v.append(_read_payload(f, path, (rows,), "<f8", "layer bias"))
         layout = _read_layout_block(f, path)
         _check_end(f, path)
-    if not W:
-        raise FileFormatError(f"{path}: model has no layers")
     try:
-        arch = Architecture(d=W[0].shape[1], hidden=tuple(w.shape[0] for w in W[:-1]),
-                            L=W[-1].shape[0])
+        return HashModel(layout=layout, W=W, v=v)
     except ShapeMismatch as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    if [w.shape for w in W] != arch.layer_dims:
-        raise FileFormatError(f"{path}: layer shapes {[w.shape for w in W]} do not chain")
-    if arch.L != layout.L:
-        raise FileFormatError(f"{path}: hashing layer width {arch.L} != layout {layout.L}")
-    return HashModel(arch=arch, layout=layout, W=W, v=v)
 
 
 # --- text files ----------------------------------------------------------------
 
 def read_text(path) -> str:
-    try:
-        with open(path, "rb") as f:
+    with open_binary(path) as f:
+        try:
             return f.read().decode("utf-8-sig")  # a leading byte-order mark is dropped
-    except FileNotFoundError:
-        raise FileNotFound(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
-                              f"at offset {exc.start}") from None
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                                  f"at offset {exc.start}") from None
 
 
 def text_records(text: str, sep: str, maxsplit: int = -1):
@@ -345,7 +335,7 @@ def write_labels(path, ids, labels):
             f.write(f"{item_id}\t{label}\n")
 
 
-# --- CSV artifacts --------------------------------------------------------------
+# --- CSV and JSON artifacts ------------------------------------------------------
 
 def write_trainlog(path, log: list[TrainRecord]):
     write_csv(path, ["iteration", "eta", "loss", "fit", "trace"],
@@ -366,3 +356,10 @@ def write_csv(path, header, rows):
         f.write(",".join(header) + "\n")
         while block := [line % tuple(row) for row in itertools.islice(rows, CSV_BLOCK)]:
             f.write("".join(block))
+
+
+def write_json(path, obj):
+    """obj as strict JSON (no NaN or infinity), indented by 2, keys sorted, newline-ended."""
+    with atomic_write(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")

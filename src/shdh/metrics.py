@@ -17,7 +17,6 @@ Formulas (written to each eval's summary.json, so results describe themselves):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,9 +119,6 @@ class MetricReport:
                 for metric in METRIC_NAMES
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,

@@ -149,7 +149,7 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, S: np.ndarray,
     for g, w in zip(gW + gv, model.W + model.v):
         g *= -(eta * scale)
         g += w
-    return HashModel(arch=model.arch, layout=model.layout, W=gW, v=gv), stats
+    return HashModel(layout=model.layout, W=gW, v=gv), stats
 
 
 def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,

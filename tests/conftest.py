@@ -1,9 +1,9 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shdh.codes import Segment, SegmentLayout
 from shdh.io import parse_taxonomy
 
 TOY3_TEXT = "root\tP\nroot\tA\nP\trose\nP\tsun\nA\ttiger\nA\toak\n"
@@ -27,19 +27,12 @@ def fig4():
     return parse_taxonomy(FIG4_TEXT)
 
 
-def make_layout(widths, layers, K, scheme="effective"):
-    """Hand-built layout for cases segment_layout's preconditions exclude,
-    e.g. single-bit codes in gradient hand checks."""
-    from shdh.hierarchy import key_weights
-
-    w = key_weights(K)
-    segments = []
-    bit_off = 0
-    for width, layer in zip(widths, layers):
-        segments.append(Segment(layer=layer, width=width, key_weight=int(w[layer - 1]),
-                                bit_offset=bit_off))
-        bit_off += width
-    return SegmentLayout(L=sum(widths), K=K, scheme=scheme, segments=tuple(segments))
+def unit_layout():
+    """Stand-in for one 1-bit segment of weight 1 (K=2, layer 2), which
+    SegmentLayout rejects (L must exceed the segment count): the fields that
+    the objective, its batch scale and HashModel read, for gradient and
+    forward hand checks."""
+    return SimpleNamespace(L=1, A=np.array([1.0]), max_distance=1.0)
 
 
 def random_codes(rng, layout, n):
@@ -82,24 +75,23 @@ def write_layout_header(path, fmt, L, K):
     return path
 
 
+def write_model_bytes(path, W, v):
+    """An SHDM file of these layers, with the layout block of
+    segment_layout(16, 3), written with struct: HashModel rejects the layers
+    the reader tests need."""
+    data = b"SHDM" + struct.pack("<HI", 1, len(W))
+    for w, b in zip(W, v):
+        data += struct.pack("<II", *w.shape) + w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+    path.write_bytes(data + struct.pack("<HBBHH", 16, 3, 0, 8, 8))
+    return path
+
+
 def write_unchained_model(path):
     """A model whose second layer takes 12 inputs while the first gives 16."""
-    from shdh.codes import Architecture, HashModel, segment_layout
-    from shdh.io import write_model
-
-    W = [np.zeros((16, 8)), np.zeros((16, 12))]
-    write_model(path, HashModel(arch=Architecture(d=8, hidden=(16,), L=16),
-                                layout=segment_layout(16, 3), W=W, v=[np.zeros(16)] * 2))
-    return path
+    return write_model_bytes(path, [np.zeros((16, 8)), np.zeros((16, 12))], [np.zeros(16)] * 2)
 
 
 def write_zero_width_model(path):
     """A model whose one hidden layer has no units: W are 0 x 8 and 16 x 0."""
-    from shdh.codes import Architecture, HashModel, segment_layout
-    from shdh.io import write_model
-
-    W = [np.zeros((0, 8)), np.zeros((16, 0))]
-    write_model(path, HashModel(arch=Architecture(d=8, hidden=(16,), L=16),
-                                layout=segment_layout(16, 3), W=W,
-                                v=[np.zeros(0), np.zeros(16)]))
-    return path
+    return write_model_bytes(path, [np.zeros((0, 8)), np.zeros((16, 0))],
+                             [np.zeros(0), np.zeros(16)])

@@ -18,6 +18,7 @@ from shdh.codes import (
 from shdh.datagen import SyntheticConfig, generate
 from shdh.hierarchy import Taxonomy, layer_weights
 from shdh.index import search_radius, search_topn
+from shdh.io import parse_taxonomy
 from shdh.metrics import METRIC_NAMES, _cutoff_metrics, eval_queries
 from shdh.train import TrainConfig, loss_terms, train
 from shdh.codes import forward
@@ -167,7 +168,7 @@ def test_criterion_4_index_oracle_equivalence():
 def test_criterion_5_training_sanity():
     t0 = time.time()
     data = generate(SyntheticConfig(seed=7))  # 4x4 classes, 64-D, 2000/200
-    tax = data.taxonomy()
+    tax = parse_taxonomy("".join(f"{p}\t{c}\n" for p, c in data.taxonomy_edges))
     layout = segment_layout(32, tax.K)
     arch = Architecture(d=64, hidden=(512, 512), L=32)
     config = TrainConfig(iters=200, batch=128, alpha=1.0, eta0=0.01, seed=7)

@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -728,3 +732,23 @@ class TestNumericFlags:
                      "--hidden", "", "--iters", "2", "--batch", "16",
                      "--out", str(tmp_path / "m.shdm")]) == 0
         assert read_model(tmp_path / "m.shdm").arch.hidden == ()
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every shdh call of every benchmark workload parses, so a flag the
+    # benchmark still passes cannot be dropped or renamed unnoticed
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(os, "environ", os.environ.copy())  # run.py sets BLAS variables
+    monkeypatch.setattr(sys, "path", [str(perfbench), *sys.path])
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    parser, _ = build_parser()
+    parsed = set()
+    for name in run.WORKLOADS:
+        calls = run.stage_calls(run.workload(name), str(tmp_path), 7, [0, 1])
+        for call in (call for stage in calls.values() for call in stage):
+            if not call[0].startswith("setup-"):
+                parser.parse_args(call)
+                parsed.add(call[0])
+    assert parsed >= {"train", "encode", "query", "eval"}

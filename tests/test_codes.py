@@ -36,7 +36,7 @@ from shdh.hierarchy import key_weights, layer_weights
 from shdh.index import distance_keys
 from shdh.io import read_codes, write_codes
 
-from conftest import make_layout
+from conftest import unit_layout
 from oracles import bits_brute, forward_rows_brute, signs
 
 
@@ -87,15 +87,46 @@ class TestSegmentLayout:
 
     def test_no_stored_float_weight(self):
         # the layer weighting lives in key_weights alone: a segment stores
-        # only its integer key weight, and A is derived on each access
+        # only its integer key weight, and A is derived on each access. A
+        # layout and a model hold what their file headers hold: the segments
+        # derive from (L, K, scheme), the architecture from the shapes of W
         assert [f.name for f in dataclasses.fields(Segment)] == [
             "layer", "width", "key_weight", "bit_offset"]
-        assert [f.name for f in dataclasses.fields(SegmentLayout)] == [
-            "L", "K", "scheme", "segments"]
+        assert [f.name for f in dataclasses.fields(SegmentLayout)] == ["L", "K", "scheme"]
+        assert [f.name for f in dataclasses.fields(HashModel)] == ["layout", "W", "v"]
         layout = segment_layout(32, 4, "paper-literal")
         for obj in (layout, *layout.segments):
             for f in dataclasses.fields(obj):
                 assert not isinstance(getattr(obj, f.name), (float, np.floating, np.ndarray))
+
+    def test_segments_follow_from_the_header(self):
+        # a layout is (L, K, scheme): segments covering 16 of 32 bits were
+        # once accepted, and write_codes then wrote a file read_codes rejected
+        with pytest.raises(TypeError):
+            SegmentLayout(L=32, K=3, scheme="effective", segments=segment_layout(16, 3).segments)
+        assert SegmentLayout(32, 3) == segment_layout(32, 3, "effective")
+        assert len({segment_layout(32, 3), SegmentLayout(L=32, K=3, scheme="effective")}) == 1
+
+    def test_every_layout_round_trips_and_every_short_one_is_rejected(self, tmp_path):
+        # the 2 440 layouts with L <= 128 and K = 2..11 under both schemes
+        path = tmp_path / "c.shdc"
+        count = 0
+        for K in range(2, 12):
+            for scheme in ("effective", "paper-literal"):
+                n_seg = K if scheme == "paper-literal" else K - 1
+                for L in range(n_seg + 1):
+                    with pytest.raises(CodeTooShort):
+                        SegmentLayout(L, K, scheme)
+                for L in range(n_seg + 1, 129):
+                    layout = SegmentLayout(L, K, scheme)
+                    assert sum(layout.widths) == L and min(layout.widths) >= 1
+                    signs_ = np.where(np.arange(L) % 3 == 0, 1.0, -1.0)
+                    db = quantize(np.stack([signs_, -signs_]), layout)
+                    write_codes(path, db)
+                    got = read_codes(path)
+                    assert got.layout == layout and got.packed.tobytes() == db.packed.tobytes()
+                    count += 1
+        assert count == 2440
 
     def test_code_too_short(self):
         with pytest.raises(CodeTooShort):
@@ -169,29 +200,40 @@ class TestInitModel:
             init_model(Architecture(d=8, hidden=(12,), L=8), layout, seed=0)
 
 
+class TestHashModel:
+    def test_arch_is_the_shape_of_w(self):
+        arch = Architecture(d=8, hidden=(12, 10), L=16)
+        model = init_model(arch, segment_layout(16, 3), seed=0)
+        assert model.arch == arch and model.arch is model.arch
+
+    @pytest.mark.parametrize("W, v, match", [
+        ([], [], "at least one"),
+        ([np.zeros((16, 8)), np.zeros((16, 12))], [np.zeros(16)] * 2, "do not chain"),
+        ([np.zeros((0, 8)), np.zeros((16, 0))], [np.zeros(0), np.zeros(16)], "widths must be"),
+        ([np.zeros((12, 8)), np.zeros((16, 12))], [np.zeros(10), np.zeros(16)], "do not chain"),
+        ([np.zeros((16, 8))], [np.zeros(16)] * 2, "one v per"),
+        ([np.zeros((12, 8)), np.zeros((8, 12))], [np.zeros(12), np.zeros(8)], "!= layout width"),
+    ], ids=["no-layers", "unchained", "zero-width", "short-v", "extra-v", "final-width"])
+    def test_shape_mismatch(self, W, v, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            HashModel(layout=segment_layout(16, 3), W=W, v=v)
+
+
 class TestForward:
     def test_zero_model_gives_zeros(self):
-        layout = make_layout([2], [2], K=2)
-        arch = Architecture(d=3, hidden=(), L=2)
-        model = HashModel(arch=arch, layout=layout,
-                          W=[np.zeros((2, 3))], v=[np.zeros(2)])
+        model = HashModel(layout=segment_layout(2, 2), W=[np.zeros((2, 3))], v=[np.zeros(2)])
         out, acts = forward(model, np.array([[1.0, -2.0, 3.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
         assert len(acts) == 1
 
     def test_affine_evaluation(self):
-        layout = make_layout([1], [2], K=2)
-        arch = Architecture(d=1, hidden=(), L=1)
-        model = HashModel(arch=arch, layout=layout,
-                          W=[np.array([[2.0]])], v=[np.array([1.0])])
+        model = HashModel(layout=unit_layout(), W=[np.array([[2.0]])], v=[np.array([1.0])])
         out, _ = forward(model, np.array([[3.0]]))
         assert out[0, 0] == 7.0
 
     def test_relu_clamps_hidden(self):
-        layout = make_layout([1], [2], K=2)
-        arch = Architecture(d=1, hidden=(1,), L=1)
         model = HashModel(
-            arch=arch, layout=layout,
+            layout=unit_layout(),
             W=[np.array([[-1.0]]), np.array([[1.0]])],
             v=[np.array([0.0]), np.array([0.0])],
         )
@@ -261,7 +303,7 @@ class TestForward:
 
 class TestQuantize:
     def test_hand_packed_byte(self):
-        layout = make_layout([4], [2], K=2)
+        layout = segment_layout(4, 2)
         code = quantize(np.array([[0.2, -0.1, 0.0, 3.0]]), layout)
         np.testing.assert_array_equal(signs(code), [1, -1, -1, 1])
         assert code.packed[0, 0] == 0b0000_1001
@@ -421,7 +463,7 @@ class TestEncodeBatch:
         layout = segment_layout(21, 3)
         arch = Architecture(d=5, hidden=(9,), L=21)
         rng = np.random.default_rng(seed)
-        return HashModel(arch=arch, layout=layout,
+        return HashModel(layout=layout,
                          W=[rng.normal(size=dims) for dims in arch.layer_dims],
                          v=[rng.normal(size=dims[0]) for dims in arch.layer_dims])
 

@@ -33,6 +33,7 @@ from conftest import (
     TOY3_TEXT,
     random_codes,
     write_layout_header,
+    write_model_bytes,
     write_oversized,
     write_unchained_model,
     write_zero_width_model,
@@ -133,6 +134,13 @@ class TestModel:
         assert got.layout == layout
         for a, b in zip(model.W + model.v, got.W + got.v):
             np.testing.assert_array_equal(a, b)
+
+    def test_struct_writer_matches_write_model(self, tmp_path):
+        # the bytes the reader tests write by hand are SHDM as write_model writes it
+        model = init_model(Architecture(d=8, hidden=(16,), L=16), segment_layout(16, 3), seed=0)
+        write_model(tmp_path / "m.shdm", model)
+        hand = write_model_bytes(tmp_path / "h.shdm", model.W, model.v)
+        assert hand.read_bytes() == (tmp_path / "m.shdm").read_bytes()
 
     def test_layers_that_do_not_chain(self, tmp_path):
         path = write_unchained_model(tmp_path / "m.shdm")

@@ -13,6 +13,7 @@ from shdh.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
+from shdh.io import parse_taxonomy
 from shdh.train import (
     TrainConfig,
     _batch_scale,
@@ -22,13 +23,8 @@ from shdh.train import (
     train,
 )
 
-from conftest import make_layout
+from conftest import unit_layout
 from oracles import finite_diff_gradient
-
-
-def unit_layout():
-    """Single 1-bit segment with weight 1 (K=2, layer 2)."""
-    return make_layout([1], [2], K=2)
 
 
 def grad_error(analytic, numeric):
@@ -179,10 +175,9 @@ class TestBackpropStep:
     def test_hand_single_linear_layer(self, toy3):
         # one linear layer: H = X W^T + v; dJ/dW = G^T X, dJ/dv = sum G
         layout = segment_layout(2, 2)  # one 2-bit segment, weight 1
-        arch = Architecture(d=2, hidden=(), L=2)
         W = np.array([[0.3, -0.2], [0.1, 0.4]])
         v = np.array([0.05, -0.1])
-        model = HashModel(arch=arch, layout=layout, W=[W.copy()], v=[v.copy()])
+        model = HashModel(layout=layout, W=[W.copy()], v=[v.copy()])
         X = np.array([[1.0, 2.0], [-1.0, 0.5]])
         S = toy3.similarity_matrix(toy3.label_rows(["rose", "tiger"]))
         config = TrainConfig(iters=1, batch=2, alpha=1.0, seed=0)
@@ -229,7 +224,7 @@ class TestBackpropStep:
             toy3.label_rows(["rose", "sun", "tiger", "oak", "rose", "tiger"]))
         config = TrainConfig(iters=1, batch=6, alpha=0.7, seed=0)
         eta, m = 0.3, 6
-        twin = HashModel(arch=model.arch, layout=layout,
+        twin = HashModel(layout=layout,
                          W=[w.copy() for w in model.W], v=[b.copy() for b in model.v])
         _, gW, gv = parameter_gradients(twin, X, S, config.alpha * m)
         scale = _batch_scale(layout, m)
@@ -267,9 +262,7 @@ class TestBackpropStep:
 
     def test_nonfinite_gradient_signaled(self, toy3):
         layout = segment_layout(4, 2)
-        arch = Architecture(d=2, hidden=(), L=4)
-        model = HashModel(arch=arch, layout=layout,
-                          W=[np.full((4, 2), 1e200)], v=[np.zeros(4)])
+        model = HashModel(layout=layout, W=[np.full((4, 2), 1e200)], v=[np.zeros(4)])
         config = TrainConfig(iters=1, batch=2, seed=0)
         with pytest.raises(NonFiniteGradient):
             backprop_step(model, np.ones((2, 2)), np.ones((2, 2)), config, 0.01)
@@ -352,7 +345,7 @@ class TestTrain:
         # 2 superclasses x 2 subclasses, as in the module example
         data = generate(SyntheticConfig(n_super=2, n_sub=2, dim=16,
                                         n_train=400, n_query=0, seed=9))
-        tax = data.taxonomy()
+        tax = parse_taxonomy("".join(f"{p}\t{c}\n" for p, c in data.taxonomy_edges))
         layout = segment_layout(16, tax.K)
         arch = Architecture(d=16, hidden=(64, 64), L=16)
         config = TrainConfig(iters=200, batch=128, seed=9)
@@ -442,7 +435,7 @@ class TestFloat32Training:
         # the forward pass; pyproject.toml makes a RuntimeWarning an error
         layout = segment_layout(4, 2)
         arch = Architecture(d=2, hidden=(3,), L=4)
-        model = HashModel(arch=arch, layout=layout,
+        model = HashModel(layout=layout,
                           W=[np.full(dims, weight, np.float32) for dims in arch.layer_dims],
                           v=[np.zeros(dims[0], np.float32) for dims in arch.layer_dims])
         config = TrainConfig(iters=1, batch=2, seed=0)
