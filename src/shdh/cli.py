@@ -15,12 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .codes import (
-    Architecture,
-    SCHEMES,
-    encode_batch,
-    segment_layout,
-)
+from .codes import SCHEMES, SegmentLayout, encode_batch, segment_layout
 from .datagen import SyntheticConfig, generate
 from .errors import (
     BadQueryFlags,
@@ -30,7 +25,6 @@ from .errors import (
     ShdhError,
     UnknownQueryId,
 )
-from .hierarchy import layer_weights
 from .index import search_topn
 from .io import (
     atomic_write,
@@ -51,7 +45,7 @@ from .io import (
     write_taxonomy,
     write_trainlog,
 )
-from .metrics import METRIC_NAMES, MODES, eval_queries
+from .metrics import METRIC_NAMES, MODE_SHARED_LAYERS, MODES, eval_queries
 from .train import TrainConfig, train
 
 
@@ -128,10 +122,9 @@ def cmd_train(args) -> int:
     _, labels = read_labels(args.labels)
     tax = read_taxonomy(args.taxonomy)
     layout = segment_layout(args.bits, tax.K, args.scheme)
-    arch = Architecture(d=features.shape[1], hidden=tuple(args.hidden), L=layout.L)
     config = TrainConfig(iters=args.iters, alpha=args.alpha, eta0=args.eta0,
-                         batch=args.batch, seed=args.seed)
-    model, log = train(features, labels, tax, arch, layout, config)
+                         batch=args.batch, seed=args.seed, hidden=tuple(args.hidden))
+    model, log = train(features, labels, tax, layout, config)
     write_model(args.out, model)
     trainlog_path = args.trainlog or str(args.out) + ".trainlog.csv"
     write_trainlog(trainlog_path, log)
@@ -225,7 +218,7 @@ def _layout_info(layout) -> dict:
         "height": layout.K,
         "scheme": layout.scheme,
         "segment_widths": list(layout.widths),
-        "segment_weights": layer_weights(layout.K)[[s.layer - 1 for s in layout.segments]].tolist(),
+        "segment_weights": layout.segment_weights.tolist(),
     }
 
 
@@ -293,15 +286,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--taxonomy", required=True, help="parent<TAB>child edge list")
     p.add_argument("--out", required=True, help="output model file (SHDM)")
     p.add_argument("--bits", type=_number("--bits"), default=32, help="code length L")
-    p.add_argument("--scheme", default="effective", choices=SCHEMES)
-    p.add_argument("--hidden", type=_number("--hidden", many=True), default="512,512",
+    p.add_argument("--scheme", default=SegmentLayout.scheme, choices=SCHEMES)
+    p.add_argument("--hidden", type=_number("--hidden", many=True), default=TrainConfig.hidden,
                    help="hidden widths, comma-separated")
-    p.add_argument("--iters", type=_number("--iters"), default=200, help="SGD iterations T")
-    p.add_argument("--batch", type=_number("--batch"), default=128, help="minibatch size")
-    p.add_argument("--alpha", type=_number("--alpha", float), default=1.0,
+    p.add_argument("--iters", type=_number("--iters"), default=TrainConfig.iters,
+                   help="SGD iterations T")
+    p.add_argument("--batch", type=_number("--batch"), default=TrainConfig.batch,
+                   help="minibatch size")
+    p.add_argument("--alpha", type=_number("--alpha", float), default=TrainConfig.alpha,
                    help="entropy-term weight")
-    p.add_argument("--eta0", type=_number("--eta0", float), default=0.01, help="initial step size")
-    p.add_argument("--seed", type=_number("--seed"), default=0)
+    p.add_argument("--eta0", type=_number("--eta0", float), default=TrainConfig.eta0,
+                   help="initial step size")
+    p.add_argument("--seed", type=_number("--seed"), default=TrainConfig.seed)
     p.add_argument("--trainlog", help="training-log CSV (default <out>.trainlog.csv)")
     p.set_defaults(func=cmd_train)
 
@@ -332,7 +328,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--query-codes", required=True)
     p.add_argument("--query-labels", required=True)
     p.add_argument("--taxonomy", required=True)
-    p.add_argument("--mode", default="shared-layers", choices=MODES)
+    p.add_argument("--mode", default=MODE_SHARED_LAYERS, choices=MODES)
     p.add_argument("--ns", type=_number("--ns", many=True), default="100",
                    help="cutoffs, comma-separated")
     p.add_argument("--threads", **threads)
@@ -347,16 +343,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = registry["gen"] = sub.add_parser("gen", help="generate a synthetic hierarchical Gaussian dataset")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--supers", type=_number("--supers"), default=4, help="number of superclasses")
-    p.add_argument("--subs", type=_number("--subs"), default=4, help="subclasses per superclass")
-    p.add_argument("--dim", type=_number("--dim"), default=64)
-    p.add_argument("--n-train", type=_number("--n-train"), default=2000)
-    p.add_argument("--n-query", type=_number("--n-query"), default=200)
-    p.add_argument("--super-std", type=_number("--super-std", float), default=3.0)
-    p.add_argument("--sub-std", type=_number("--sub-std", float), default=1.5)
-    p.add_argument("--noise-std", type=_number("--noise-std", float), default=0.5)
-    p.add_argument("--scale", type=_number("--scale", float), default=1.0)
-    p.add_argument("--seed", type=_number("--seed"), default=0)
+    p.add_argument("--supers", type=_number("--supers"), default=SyntheticConfig.n_super,
+                   help="number of superclasses")
+    p.add_argument("--subs", type=_number("--subs"), default=SyntheticConfig.n_sub,
+                   help="subclasses per superclass")
+    p.add_argument("--dim", type=_number("--dim"), default=SyntheticConfig.dim)
+    p.add_argument("--n-train", type=_number("--n-train"), default=SyntheticConfig.n_train)
+    p.add_argument("--n-query", type=_number("--n-query"), default=SyntheticConfig.n_query)
+    p.add_argument("--super-std", type=_number("--super-std", float),
+                   default=SyntheticConfig.super_std)
+    p.add_argument("--sub-std", type=_number("--sub-std", float), default=SyntheticConfig.sub_std)
+    p.add_argument("--noise-std", type=_number("--noise-std", float),
+                   default=SyntheticConfig.noise_std)
+    p.add_argument("--scale", type=_number("--scale", float), default=SyntheticConfig.scale)
+    p.add_argument("--seed", type=_number("--seed"), default=SyntheticConfig.seed)
     p.set_defaults(func=cmd_gen)
 
     return parser, registry

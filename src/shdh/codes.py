@@ -7,13 +7,15 @@ keeps only the K-1 segments for layers 2..K, since zero-weight bits are
 unconstrained by the objective and waste capacity.
 
 Packing: segment-major, each segment padded to whole bytes, LSB-first
-within a byte; logical +1 maps to bit 1 and -1 to bit 0. Only this module
-knows that format; a single code is a one-row `CodeDatabase`.
+within a byte; logical +1 maps to bit 1 and -1 to bit 0; padding bits are
+0, and `CodeDatabase` rejects codes with any other. Only this module knows
+that format; a single code is a one-row `CodeDatabase`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +25,7 @@ from .errors import (
     CodeTooLong,
     CodeTooShort,
     HeightTooLarge,
+    InvalidNumber,
     ModelFeatureDimMismatch,
     NonFiniteInput,
     ShapeMismatch,
@@ -62,6 +65,12 @@ class SegmentLayout:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("L", "K"):  # numpy integers pass, and are stored as int
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidNumber(f"{name} must be an integer, "
+                                    f"got {getattr(self, name)!r}") from None
         key_weights(self.K)  # validates K >= 2
         L, K, n_seg = self.L, self.K, len(self._layers)
         if L <= n_seg:
@@ -94,9 +103,21 @@ class SegmentLayout:
         return tuple(s.width for s in self.segments)
 
     @property
+    def segment_weights(self) -> np.ndarray:
+        """Weight u_k of each segment's layer, from layer_weights."""
+        return layer_weights(self.K)[[s.layer - 1 for s in self.segments]]
+
+    @property
     def A(self) -> np.ndarray:
-        """Weight u_k of each bit position (length L), from layer_weights."""
-        return np.repeat(layer_weights(self.K)[[s.layer - 1 for s in self.segments]], self.widths)
+        """Weight u_k of each bit position (length L): segment_weights over the widths."""
+        return np.repeat(self.segment_weights, self.widths)
+
+    @cached_property
+    def _padding(self) -> np.ndarray | None:
+        """The padding bits of a packed row, every bit outside segment_masks;
+        None when each segment fills whole bytes."""
+        pad = ~np.bitwise_or.reduce(segment_masks(self))
+        return pad if pad.any() else None
 
     @property
     def max_distance(self) -> float:
@@ -128,8 +149,8 @@ class Architecture:
     """Feedforward shape: ReLU hidden layers, identity output of width L."""
 
     d: int
-    hidden: tuple[int, ...] = (512, 512)
-    L: int = 32
+    hidden: tuple[int, ...]
+    L: int
 
     def __post_init__(self):
         if self.d < 1 or self.L < 1 or any(h < 1 for h in self.hidden):
@@ -142,7 +163,7 @@ class Architecture:
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HashModel:
     """Layers whose shapes chain and state the Architecture; the last has layout.L rows."""
 
@@ -242,9 +263,9 @@ def pack_bits(layout: SegmentLayout, bits: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CodeDatabase:
-    """Packed binary codes for n items, in insertion order."""
+    """Packed binary codes for n items, in insertion order, every padding bit 0."""
 
     layout: SegmentLayout
     packed: np.ndarray          # uint8, n x total_bytes; an item's id is its row
@@ -254,12 +275,16 @@ class CodeDatabase:
                 or self.packed.shape[1] != self.layout.total_bytes):
             raise ShapeMismatch(f"packed codes must be uint8, n x {self.layout.total_bytes}; "
                                 f"got {self.packed.dtype}, {self.packed.shape}")
+        pad = self.layout._padding
+        if pad is not None and (self.packed & pad).any():
+            row = (self.packed & pad).any(axis=1).argmax()
+            raise ShapeMismatch(f"code row {row} has nonzero padding bits")
 
     def __len__(self) -> int:
         return self.packed.shape[0]
 
     def code(self, i: int) -> CodeDatabase:
-        """Row i as a one-row database (a view)."""
+        """Row i as a one-row database (a view); its padding is checked again."""
         i = range(len(self))[i]  # negative rows count from the end, as in a list
         return CodeDatabase(layout=self.layout, packed=self.packed[i:i + 1])
 

@@ -13,9 +13,11 @@ Binary formats, all integers little-endian:
 
 Every writer goes through a temp file plus rename, so interrupted runs
 never leave truncated artifacts, and writes each array from its own buffer,
-with no bytes copy. Readers reject bytes after the payload,
-layout headers that describe no layout, model layers that do not chain, and,
-in SHDC, nonzero padding bits: any bit outside `codes.segment_masks`.
+with no bytes copy. Readers reject bytes after the payload and bytes that
+build no valid object: a layout header that describes no layout
+(`SegmentLayout` checks it), model layers that do not chain (`HashModel`)
+and, in SHDC, nonzero padding bits (`CodeDatabase`). The readers only map
+those errors to BAD_FILE_FORMAT with the path.
 
 Text inputs (labels, taxonomy, key=value config) share one rule, owned by
 `read_text` and `text_records`: UTF-8 with an optional byte-order mark,
@@ -43,7 +45,6 @@ from .codes import (
     SCHEME_EFFECTIVE,
     SCHEME_PAPER_LITERAL,
     SegmentLayout,
-    segment_masks,
 )
 from .errors import (CodeTooShort, DuplicateEdge, EmptyInput, FileFormatError, FileNotFound,
                      HeightTooSmall, ShapeMismatch, ShdhError)
@@ -194,13 +195,10 @@ def read_codes(path) -> CodeDatabase:
         (n,) = _read_struct(f, "<Q", "code count")
         packed = _read_payload(f, path, (n, layout.total_bytes), "u1", "packed codes")
         _check_end(f, path)
-    # padding is every bit outside the segment masks; only bytes that hold some are read
-    pad = ~np.bitwise_or.reduce(segment_masks(layout))
-    cols = np.flatnonzero(pad)
-    bad = (packed[:, cols] & pad[cols]).any(axis=1)
-    if bad.any():
-        raise FileFormatError(f"{path}: code row {int(bad.argmax())} has nonzero padding bits")
-    return CodeDatabase(layout=layout, packed=packed)
+    try:
+        return CodeDatabase(layout=layout, packed=packed)
+    except ShapeMismatch as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 # --- model ("SHDM") ----------------------------------------------------------

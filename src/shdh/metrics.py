@@ -93,17 +93,13 @@ class MetricReport:
 
     def to_csv_rows(self):
         """(query id, n, metric, value) rows, means last with query id 'mean'.
-        A query's id is its position."""
-        rows = []
-        for qi in range(len(self.per_query["acg"])):
-            for metric in METRIC_NAMES:
-                for ni, n in enumerate(self.ns):
-                    val = self.per_query[metric][qi, ni]
-                    rows.append((qi, n, metric, "" if np.isnan(val) else float(val)))
-        for metric in METRIC_NAMES:
-            for ni, n in enumerate(self.ns):
-                rows.append(("mean", n, metric, float(self.means[metric][ni])))
-        return rows
+        A query's id is its position. An undefined value (NaN), a query's
+        or a mean, is ""."""
+        lines = [(qi, metric, self.per_query[metric][qi])
+                 for qi in range(len(self.per_query["acg"])) for metric in METRIC_NAMES]
+        lines += [("mean", metric, self.means[metric]) for metric in METRIC_NAMES]
+        return [(qid, n, metric, "" if np.isnan(val) else float(val))
+                for qid, metric, values in lines for n, val in zip(self.ns, values)]
 
     def summary(self) -> dict:
         """Means by metric and cutoff; an undefined mean (NaN) is None."""

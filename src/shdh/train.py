@@ -33,13 +33,18 @@ ETA_DECAY_EVERY = 20
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iters: int
+    """The training recipe: the network's hidden widths and the SGD settings."""
+
+    iters: int = 200
     alpha: float = 1.0
     eta0: float = 0.01
     batch: int = 128
     seed: int = 0
+    hidden: tuple[int, ...] = (512, 512)
 
     def __post_init__(self):
+        if any(h < 1 for h in self.hidden):
+            raise ShapeMismatch("all layer widths must be >= 1")
         if self.iters < 1:
             raise InvalidNumber("iters must be >= 1")
         if self.batch < 2:
@@ -152,11 +157,12 @@ def backprop_step(model: HashModel, X_batch: np.ndarray, S: np.ndarray,
     return HashModel(layout=model.layout, W=gW, v=gv), stats
 
 
-def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
-          layout: SegmentLayout, config: TrainConfig) -> tuple[HashModel, list[TrainRecord]]:
+def train(features: np.ndarray, labels, tax: Taxonomy, layout: SegmentLayout,
+          config: TrainConfig) -> tuple[HashModel, list[TrainRecord]]:
     """Algorithm: init the model, then T iterations of sample-batch + SGD step,
     with eta multiplied by ETA_DECAY every ETA_DECAY_EVERY iterations.
-    Returns the model and one TrainRecord per iteration.
+    Returns the model and one TrainRecord per iteration. The network takes
+    the features' width, has config.hidden hidden widths and layout.L outputs.
 
     The network trains in float32: init_model's float64 draw is cast to
     float32, each batch is taken in float32, and the trained model is
@@ -170,8 +176,10 @@ def train(features: np.ndarray, labels, tax: Taxonomy, arch: Architecture,
         raise EmptyDataset(f"need at least 2 training items, got {n}")
     if not np.isfinite(features).all():
         raise NonFiniteInput("training features contain NaN or infinity")
-    if features.dtype != np.float32 and np.abs(features).max() > np.finfo(np.float32).max:
+    if (features.dtype != np.float32
+            and np.abs(features).max(initial=0.0) > np.finfo(np.float32).max):
         raise NonFiniteInput("training features exceed the float32 range the network trains in")
+    arch = Architecture(d=features.shape[1], hidden=config.hidden, L=layout.L)
     rows = tax.label_rows(labels)
 
     seed_init, seed_sample = np.random.SeedSequence(config.seed).spawn(2)

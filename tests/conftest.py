@@ -43,6 +43,19 @@ def random_codes(rng, layout, n):
     return pack_bits(layout, bits)
 
 
+def write_dirty_codes(path, db, row, col, bits):
+    """db as an SHDC file, with `bits` then ORed into byte `col` of code
+    `row`: CodeDatabase rejects nonzero padding bits, so a reader test that
+    needs them edits a written file. The packed codes end the file."""
+    from shdh.io import write_codes
+
+    write_codes(path, db)
+    data = bytearray(path.read_bytes())
+    data[len(data) - db.packed.size + row * db.layout.total_bytes + col] |= bits
+    path.write_bytes(bytes(data))
+    return path
+
+
 # Headers that claim far more payload than the 1 KiB that follows them.
 OVERSIZED_HEADERS = {
     "features": b"SHDF" + struct.pack("<HQI", 1, 2**40, 64),       # 2^40 rows of 64 floats

@@ -170,10 +170,9 @@ def test_criterion_5_training_sanity():
     data = generate(SyntheticConfig(seed=7))  # 4x4 classes, 64-D, 2000/200
     tax = parse_taxonomy("".join(f"{p}\t{c}\n" for p, c in data.taxonomy_edges))
     layout = segment_layout(32, tax.K)
-    arch = Architecture(d=64, hidden=(512, 512), L=32)
-    config = TrainConfig(iters=200, batch=128, alpha=1.0, eta0=0.01, seed=7)
+    config = TrainConfig(iters=200, batch=128, alpha=1.0, eta0=0.01, seed=7, hidden=(512, 512))
 
-    model, log = train(data.train_features, data.train_labels, tax, arch, layout, config)
+    model, log = train(data.train_features, data.train_labels, tax, layout, config)
     loss_decreased = log[-1].loss < log[0].loss
 
     db = encode_batch(model, data.train_features)
@@ -181,7 +180,7 @@ def test_criterion_5_training_sanity():
     trained_report = eval_queries(db, data.train_labels, qdb, data.query_labels,
                                   tax, mode="shared-layers", ns=[100])
 
-    untrained = init_model(arch, layout, seed=1007)
+    untrained = init_model(model.arch, layout, seed=1007)
     udb = encode_batch(untrained, data.train_features)
     uqdb = encode_batch(untrained, data.query_features)
     untrained_report = eval_queries(udb, data.train_labels, uqdb, data.query_labels,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from shdh.cli import build_parser, main
-from shdh.codes import CodeDatabase, segment_layout
+from shdh.codes import CodeDatabase, SegmentLayout, segment_layout
+from shdh.datagen import SyntheticConfig
 from shdh.io import (
     read_codes,
     read_features,
+    read_labels,
     read_model,
     write_codes,
     write_features,
@@ -20,8 +23,11 @@ from shdh.io import (
     write_model,
 )
 
+from shdh.train import TrainConfig
+
 from conftest import (
     random_codes,
+    write_dirty_codes,
     write_layout_header,
     write_oversized,
     write_unchained_model,
@@ -467,6 +473,11 @@ class TestEval:
         assert summary["means"]["weighted_recall"] == {"1": None, "10": None}
         assert summary["means"]["acg"] == {"1": 0.0, "10": 0.0}
         assert "weighted_recall@10 = nan" in capsys.readouterr().out
+        # an undefined mean is spelled as an undefined query cell: ""
+        lines = (tmp_path / "eval.metrics.csv").read_text().splitlines()
+        wr = [line for line in lines if ",weighted_recall," in line]
+        assert len(wr) == 13 * 2 and all(line.endswith(",") for line in wr)
+        assert "mean,10,weighted_recall," in lines and "nan" not in "".join(lines)
 
     def test_config_value_outside_choices_exit_2(self, trained, tmp_path, capsys):
         (tmp_path / "e.cfg").write_text("mode=shared\n")
@@ -595,9 +606,8 @@ class TestInspect:
 def test_nonzero_padding_bits_exit_2(tmp_path, capsys):
     layout = segment_layout(48, 4, "paper-literal")  # four 12-bit segments, 2 bytes each
     packed = random_codes(np.random.default_rng(0), layout, 6)
-    packed[3, 3] |= 0x40  # a padding bit of the second segment
-    path = tmp_path / "dirty.shdc"
-    write_codes(path, CodeDatabase(layout=layout, packed=packed))
+    path = write_dirty_codes(tmp_path / "dirty.shdc", CodeDatabase(layout=layout, packed=packed),
+                             3, 3, 0x40)  # a padding bit of the second segment
     for argv in (["inspect", str(path)], ["query", "--codes", str(path), "--query-id", "0"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -698,7 +708,8 @@ class TestNumericFlags:
         for command, sub in registry.items():
             for action in sub._actions:
                 default = action.default
-                numeric = (isinstance(default, (int, float)) and not isinstance(default, bool)
+                numeric = (isinstance(default, (int, float, tuple))
+                           and not isinstance(default, bool)
                            or isinstance(default, str)
                            and all(part.strip().isdigit() for part in default.split(",")))
                 if numeric:
@@ -732,6 +743,29 @@ class TestNumericFlags:
                      "--hidden", "", "--iters", "2", "--batch", "16",
                      "--out", str(tmp_path / "m.shdm")]) == 0
         assert read_model(tmp_path / "m.shdm").arch.hidden == ()
+
+
+def test_defaults_are_the_library_defaults(tmp_path):
+    # gen and train with no optional flag record SyntheticConfig() and
+    # TrainConfig() field for field (train on 32 rows, to stay quick)
+    assert main(["gen", "--out-dir", str(tmp_path / "g")]) == 0
+    gen = json.loads((tmp_path / "g" / "gen.manifest.json").read_text())["effective_config"]
+    flag = {"n_super": "supers", "n_sub": "subs"}
+    assert SyntheticConfig(**{f.name: gen[flag.get(f.name, f.name)]
+                              for f in dataclasses.fields(SyntheticConfig)}) == SyntheticConfig()
+
+    write_features(tmp_path / "x.shdf", read_features(tmp_path / "g" / "train.shdf")[:32])
+    ids, labels = read_labels(tmp_path / "g" / "train_labels.tsv")
+    write_labels(tmp_path / "labels.tsv", ids[:32], labels[:32])
+    assert main(["train", "--features", str(tmp_path / "x.shdf"),
+                 "--labels", str(tmp_path / "labels.tsv"),
+                 "--taxonomy", str(tmp_path / "g" / "taxonomy.tsv"),
+                 "--out", str(tmp_path / "m.shdm")]) == 0
+    train = json.loads((tmp_path / "m.shdm.manifest.json").read_text())["effective_config"]
+    effective = {f.name: train[f.name] for f in dataclasses.fields(TrainConfig)}
+    assert TrainConfig(**effective | {"hidden": tuple(train["hidden"])}) == TrainConfig()
+    assert train["scheme"] == SegmentLayout.scheme
+    assert read_model(tmp_path / "m.shdm").arch.hidden == TrainConfig.hidden
 
 
 def test_benchmark_command_lines_parse(tmp_path, monkeypatch):

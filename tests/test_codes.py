@@ -29,6 +29,7 @@ from shdh.errors import (
     CodeTooShort,
     HeightTooLarge,
     HeightTooSmall,
+    InvalidNumber,
     NonFiniteInput,
     ShapeMismatch,
 )
@@ -128,6 +129,16 @@ class TestSegmentLayout:
                     count += 1
         assert count == 2440
 
+    @pytest.mark.parametrize("L, K", [(32.0, 3), (32, 3.0), ("32", 3), (32, "3"), (None, 3)])
+    def test_non_integer_L_or_K_rejected(self, L, K):
+        with pytest.raises(InvalidNumber, match="must be an integer"):
+            segment_layout(L, K)
+
+    def test_numpy_integers_stored_as_int(self):
+        layout = segment_layout(np.int64(32), np.uint8(3))
+        assert layout == segment_layout(32, 3) and layout.widths == (16, 16)
+        assert all(type(x) is int for x in (layout.L, layout.K, layout.total_bytes, *layout.widths))
+
     def test_code_too_short(self):
         with pytest.raises(CodeTooShort):
             segment_layout(3, 4, "paper-literal")
@@ -163,8 +174,11 @@ class TestSegmentLayout:
         # every byte scores its valid bits only: 8, 7 (one padding bit), 8, 8
         q = CodeDatabase(layout=layout, packed=np.zeros((1, 4), np.uint8))
         rows = np.diag(np.full(4, 0xFF, np.uint8))
-        keys = distance_keys(CodeDatabase(layout=layout, packed=rows), q)
-        np.testing.assert_array_equal(keys, [8 * 2, 7 * 2, 8 * 1, 8 * 1])
+        with pytest.raises(ShapeMismatch, match="code row 1 has nonzero padding bits"):
+            CodeDatabase(layout=layout, packed=rows)
+        db = CodeDatabase(layout=layout, packed=np.zeros((4, 4), np.uint8))
+        db.packed[:] = rows  # the padding bit, past the constructor's check
+        np.testing.assert_array_equal(distance_keys(db, q), [8 * 2, 7 * 2, 8 * 1, 8 * 1])
 
 
 class TestInitModel:
@@ -407,6 +421,32 @@ class TestCodeDatabase:
         for dtype in (np.int64, np.int8, np.uint16):
             with pytest.raises(ShapeMismatch):
                 CodeDatabase(layout=layout, packed=np.zeros((3, 2), dtype))
+
+    def test_padding_bits_rejected_naming_the_first_row(self):
+        layout = segment_layout(12, 3)  # widths (6, 6): two padding bits in each byte
+        packed = np.zeros((4, 2), np.uint8)
+        packed[2, 1], packed[3, 0] = 0x40, 0x80
+        with pytest.raises(ShapeMismatch, match="^code row 2 has nonzero padding bits$"):
+            CodeDatabase(layout=layout, packed=packed)
+        # without padding bytes every byte value is a valid code
+        CodeDatabase(layout=segment_layout(32, 3), packed=np.full((3, 4), 255, np.uint8))
+
+    def test_code_checks_its_row_again(self):
+        db = CodeDatabase(layout=segment_layout(12, 3), packed=np.zeros((3, 2), np.uint8))
+        db.packed[1, 0] = 0xC0  # written into the array after the check
+        db.code(0)
+        with pytest.raises(ShapeMismatch, match="code row 0 has nonzero padding bits"):
+            db.code(1)
+
+    def test_model_and_database_are_frozen(self):
+        model = init_model(Architecture(d=4, hidden=(8,), L=16), segment_layout(16, 3), 0)
+        for name, value in (("W", [np.zeros((16, 4))]), ("v", [np.zeros(16)]), ("layout", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        assert model.arch.hidden == (8,) and model.n_layers == 2
+        db = CodeDatabase(layout=segment_layout(12, 3), packed=np.zeros((2, 2), np.uint8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            db.packed = np.full((2, 2), 255, np.uint8)
 
     def test_code_is_a_one_row_view(self):
         layout = segment_layout(16, 3)

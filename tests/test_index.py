@@ -107,11 +107,15 @@ class TestDistanceKeys:
     def test_padding_bits_masked(self, hand_layout):
         q = code_from_signs(hand_layout, [1, 1, 1, 1])
         # each segment holds 2 valid bits; bytes differing from the query
-        # only in padding positions score nothing
+        # only in padding positions are rejected, and score nothing when
+        # written into the array after the check
         (q0, q1), = q.packed
         packed = np.array([[q0 | 0b100, q1],
                            [q0 | 0b1111_1100, q1 | 0b1111_1100]], np.uint8)
-        db = CodeDatabase(layout=hand_layout, packed=packed)
+        with pytest.raises(ShapeMismatch, match="code row 0 has nonzero padding bits"):
+            CodeDatabase(layout=hand_layout, packed=packed)
+        db = CodeDatabase(layout=hand_layout, packed=np.vstack([q.packed] * 2))
+        db.packed[:] = packed
         np.testing.assert_array_equal(distance_keys(db, q), [0, 0])
 
     def test_reproduces_weighted_distance_exactly(self):
@@ -152,7 +156,8 @@ class TestDistanceKeys:
         dirty[:, 0:2] = rng.integers(0, 256, size=(400, 2))  # the zero-weight segment
         dirty[:, 1::2] |= 0b1111_0000                        # every padding nibble
         for rows in (packed, dirty):
-            db = CodeDatabase(layout=layout, packed=rows)
+            db = CodeDatabase(layout=layout, packed=packed.copy())
+            db.packed[:] = rows  # padding bits pass the constructor's check only this way
             np.testing.assert_array_equal(distance_keys(db, q), expected)
 
     def test_topn_equals_lexsort_on_20k_codes(self):

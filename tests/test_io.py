@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shdh.codes import Architecture, CodeDatabase, init_model, segment_layout
-from shdh.errors import FileFormatError, FileNotFound, ShdhError
+from shdh.errors import FileFormatError, FileNotFound, ShapeMismatch, ShdhError
 from shdh.io import (
     CSV_BLOCK,
     _plain_pairs,
@@ -32,6 +32,7 @@ from shdh.train import TrainRecord
 from conftest import (
     TOY3_TEXT,
     random_codes,
+    write_dirty_codes,
     write_layout_header,
     write_model_bytes,
     write_oversized,
@@ -111,15 +112,27 @@ class TestCodes:
         packed[:, [0, 2]] = 0xFF
         packed[:, 1], packed[:, 3] = 0b11, 0b111  # every bit of every segment set
         path = tmp_path / "c.shdc"
-        write_codes(path, CodeDatabase(layout=layout, packed=packed))
+        db = CodeDatabase(layout=layout, packed=packed)
+        write_codes(path, db)
         np.testing.assert_array_equal(read_codes(path).packed, packed)
         for col, first_pad in ((1, 2), (3, 3)):
             for bit in range(first_pad, 8):
                 dirty = packed.copy()
                 dirty[2, col] |= 1 << bit
-                write_codes(path, CodeDatabase(layout=layout, packed=dirty))
-                with pytest.raises(FileFormatError, match="code row 2 has nonzero padding"):
+                with pytest.raises(ShapeMismatch, match="^code row 2 has nonzero padding bits$"):
+                    CodeDatabase(layout=layout, packed=dirty)
+                write_dirty_codes(path, db, 2, col, 1 << bit)
+                with pytest.raises(FileFormatError) as exc:
                     read_codes(path)
+                assert str(exc.value) == f"{path}: code row 2 has nonzero padding bits"
+
+    def test_padding_bits_never_reach_a_file(self, tmp_path):
+        # widths (6, 6): every byte holds two padding bits
+        path = tmp_path / "bad.shdc"
+        with pytest.raises(ShapeMismatch, match="^code row 0 has nonzero padding bits$"):
+            write_codes(path, CodeDatabase(layout=segment_layout(12, 3),
+                                           packed=np.full((2, 2), 255, np.uint8)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestModel:

@@ -278,13 +278,13 @@ class TestTrain:
     def test_t1_equals_init_plus_one_step(self, toy3):
         X, labels = self._data()
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(5,), L=8)
-        config = TrainConfig(iters=1, batch=8, seed=11)
+        config = TrainConfig(iters=1, batch=8, seed=11, hidden=(5,))
 
-        model, log = train(X, labels, toy3, arch, layout, config)
+        model, log = train(X, labels, toy3, layout, config)
 
         # train steps a float32 copy of init_model's draw and widens the result
         seed_init, seed_sample = np.random.SeedSequence(11).spawn(2)
+        arch = Architecture(d=6, hidden=(5,), L=8)
         expected = init_model(arch, layout, seed_init).astype(np.float32)
         rng = np.random.default_rng(seed_sample)
         idx = rng.choice(len(X), size=8, replace=False)
@@ -298,10 +298,9 @@ class TestTrain:
     def test_deterministic_given_seed(self, toy3):
         X, labels = self._data()
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(5,), L=8)
-        config = TrainConfig(iters=12, batch=8, seed=5)
-        m1, log1 = train(X, labels, toy3, arch, layout, config)
-        m2, log2 = train(X, labels, toy3, arch, layout, config)
+        config = TrainConfig(iters=12, batch=8, seed=5, hidden=(5,))
+        m1, log1 = train(X, labels, toy3, layout, config)
+        m2, log2 = train(X, labels, toy3, layout, config)
         assert [r.loss for r in log1] == [r.loss for r in log2]
         for a, b in zip(m1.W + m1.v, m2.W + m2.v):
             np.testing.assert_array_equal(a, b)
@@ -309,9 +308,8 @@ class TestTrain:
     def test_eta_schedule(self, toy3):
         X, labels = self._data()
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(), L=8)
-        config = TrainConfig(iters=65, batch=8, eta0=0.01, seed=2)
-        _, log = train(X, labels, toy3, arch, layout, config)
+        config = TrainConfig(iters=65, batch=8, eta0=0.01, seed=2, hidden=())
+        _, log = train(X, labels, toy3, layout, config)
         for rec in log:
             assert rec.eta == 0.01 * (2.0 / 3.0) ** (rec.iteration // 20)
         assert [r.iteration for r in log] == list(range(65))
@@ -319,27 +317,38 @@ class TestTrain:
     def test_unknown_label(self, toy3):
         X, _ = self._data()
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(), L=8)
         with pytest.raises(UnknownLabel):
-            train(X, ["daisy"] * len(X), toy3, arch, layout,
-                  TrainConfig(iters=1, batch=8, seed=0))
+            train(X, ["daisy"] * len(X), toy3, layout,
+                  TrainConfig(iters=1, batch=8, seed=0, hidden=()))
 
     def test_nan_feature_row_rejected_for_every_seed(self, toy3):
         # the whole feature matrix is checked, not only the rows a seed samples
         X, labels = self._data(n=2000)
         X[1234, 0] = np.nan
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(5,), L=8)
         for seed in range(8):
             with pytest.raises(NonFiniteInput):
-                train(X, labels, toy3, arch, layout, TrainConfig(iters=20, batch=64, seed=seed))
+                train(X, labels, toy3, layout,
+                      TrainConfig(iters=20, batch=64, seed=seed, hidden=(5,)))
 
     def test_empty_dataset(self, toy3):
         layout = segment_layout(8, 3)
-        arch = Architecture(d=6, hidden=(), L=8)
         with pytest.raises(EmptyDataset):
-            train(np.zeros((0, 6)), [], toy3, arch, layout,
-                  TrainConfig(iters=1, batch=8, seed=0))
+            train(np.zeros((0, 6)), [], toy3, layout,
+                  TrainConfig(iters=1, batch=8, seed=0, hidden=()))
+
+    @pytest.mark.parametrize("d, hidden, L", [(6, (5,), 8), (3, (), 12), (6, (7, 4), 9)])
+    def test_widths_come_from_the_inputs(self, toy3, d, hidden, L):
+        X, labels = self._data(d=d)
+        model, _ = train(X, labels, toy3, segment_layout(L, 3),
+                         TrainConfig(iters=1, batch=8, hidden=hidden))
+        assert model.arch == Architecture(d=d, hidden=hidden, L=L)
+
+    def test_zero_column_features_rejected(self, toy3):
+        _, labels = self._data()
+        with pytest.raises(ShapeMismatch, match="all layer widths must be >= 1"):
+            train(np.zeros((40, 0)), labels, toy3, segment_layout(8, 3),
+                  TrainConfig(iters=1, batch=8))
 
     def test_loss_decreases_on_separable_synthetic(self):
         # 2 superclasses x 2 subclasses, as in the module example
@@ -347,11 +356,16 @@ class TestTrain:
                                         n_train=400, n_query=0, seed=9))
         tax = parse_taxonomy("".join(f"{p}\t{c}\n" for p, c in data.taxonomy_edges))
         layout = segment_layout(16, tax.K)
-        arch = Architecture(d=16, hidden=(64, 64), L=16)
-        config = TrainConfig(iters=200, batch=128, seed=9)
-        _, log = train(data.train_features, data.train_labels, tax, arch, layout, config)
+        config = TrainConfig(iters=200, batch=128, seed=9, hidden=(64, 64))
+        _, log = train(data.train_features, data.train_labels, tax, layout, config)
         losses = [r.loss for r in log]
         assert np.mean(losses[-10:]) < losses[0]
+
+    def test_config_hidden_checked_first(self):
+        assert TrainConfig().iters == 200 and TrainConfig().hidden == (512, 512)
+        for hidden in ((0,), (8, -1)):
+            with pytest.raises(ShapeMismatch, match="all layer widths must be >= 1"):
+                TrainConfig(iters=0, hidden=hidden)
 
     def test_config_validation(self):
         with pytest.raises(InvalidNumber):
@@ -425,8 +439,8 @@ class TestFloat32Training:
     def test_train_returns_float64(self, toy3):
         X = np.random.default_rng(3).normal(size=(40, 6)).astype(np.float32)
         labels = ["rose", "sun", "tiger", "oak"] * 10
-        model, _ = train(X, labels, toy3, Architecture(d=6, hidden=(5,), L=8),
-                         segment_layout(8, 3), TrainConfig(iters=3, batch=8, seed=1))
+        model, _ = train(X, labels, toy3, segment_layout(8, 3),
+                         TrainConfig(iters=3, batch=8, seed=1, hidden=(5,)))
         assert all(a.dtype == np.float64 for a in model.W + model.v)
 
     @pytest.mark.parametrize("weight", [1e10, 3e38])
@@ -451,5 +465,5 @@ class TestFloat32Training:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInput):
-                train(X, labels, toy3, Architecture(d=6, hidden=(), L=8), segment_layout(8, 3),
-                      TrainConfig(iters=1, batch=8, seed=0))
+                train(X, labels, toy3, segment_layout(8, 3),
+                      TrainConfig(iters=1, batch=8, seed=0, hidden=()))
