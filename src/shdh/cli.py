@@ -9,6 +9,7 @@ echoed into a run-manifest JSON next to the primary output. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .index import search_topn
 from .io import (
-    atomic_write,
     open_binary,
     read_codes,
     read_features,
@@ -42,6 +42,7 @@ from .io import (
     write_json,
     write_labels,
     write_model,
+    write_rows,
     write_taxonomy,
     write_trainlog,
 )
@@ -150,33 +151,29 @@ def cmd_query(args) -> int:
 
     if args.query_id is not None and args.query_features:
         raise BadQueryFlags("give --query-id or --query-features, not both")
-    queries = []
     if args.query_id is not None:
         for qid in args.query_id:
             if not 0 <= qid < len(db):
                 raise UnknownQueryId(f"query id {qid} outside [0, {len(db) - 1}]")
-            queries.append((qid, db.code(qid)))
+        queries = ((qid, db.code(qid)) for qid in args.query_id)
     elif args.query_features:
         if not args.model:
             raise BadQueryFlags("--query-features requires --model")
         qdb = encode_batch(read_model(args.model), read_features(args.query_features))
-        queries = [(f"q{i}", qdb.code(i)) for i in range(len(qdb))]
+        queries = ((f"q{i}", qdb.code(i)) for i in range(len(qdb)))
     else:
         raise BadQueryFlags("provide --query-id or --query-features")
 
-    results = [search_topn(db, qcode, args.n) for _, qcode in queries]
+    def hits():  # one query's hits at a time, searched as the writer asks for rows
+        for qid, qcode in queries:
+            result = search_topn(db, qcode, args.n)
+            yield zip(itertools.repeat(qid), itertools.count(1), result.ids,
+                      result.distances.tolist(), result.inner_products.tolist())
 
-    lines = ["query\trank\titem_id\tdistance\tinner_product"]
-    for (qid, _), result in zip(queries, results):
-        for rank, (item_id, dist, inner) in enumerate(result.rows(), start=1):
-            lines.append(f"{qid}\t{rank}\t{item_id}\t{dist!r}\t{inner!r}")
-    text = "\n".join(lines) + "\n"
+    write_rows(args.out, ["query", "rank", "item_id", "distance", "inner_product"],
+               itertools.chain.from_iterable(hits()), sep="\t")
     if args.out:
-        with atomic_write(args.out, "w") as f:
-            f.write(text)
         _write_manifest(args.out, args)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -204,7 +201,7 @@ def cmd_eval(args) -> int:
     _write_manifest(prefix, args)
 
     for metric in sorted(METRIC_NAMES):
-        for n in sorted(set(report.ns)):
+        for n in sorted(report.ns):
             print(f"{metric}@{n} = {report.mean(metric, n):.6f}")
     if report.wr_excluded:
         print(f"weighted_recall excluded {report.wr_excluded} zero-relevance queries")

@@ -34,8 +34,7 @@ import math
 import os
 import struct
 import sys
-import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .train import TrainRecord
 
 FORMAT_VERSION = 1
 
-# write_csv formats and writes this many rows at a time
+# write_rows formats and writes this many rows at a time
 CSV_BLOCK = 4096
 
 _SCHEME_BYTE = {SCHEME_EFFECTIVE: 0, SCHEME_PAPER_LITERAL: 1}
@@ -62,11 +61,11 @@ _BYTE_SCHEME = {v: k for k, v in _SCHEME_BYTE.items()}
 
 @contextmanager
 def atomic_write(path, mode="wb"):
-    """Write to a sibling temp file, then rename over the target."""
+    """Write to a sibling temp file (mode 0o666 less the umask), then rename over the target."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".tmp")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as f:
             yield f
@@ -341,19 +340,25 @@ def write_trainlog(path, log: list[TrainRecord]):
                for rec in log))
 
 
-def write_csv(path, header, rows):
-    """Comma-separated lines, unquoted: every field is a number, "" or a fixed name.
-
-    Each field is written as str() gives it, so a float is its repr. `rows`
-    may be any iterable, a generator included; it is formatted and written
-    CSV_BLOCK rows at a time, so only one block of lines is held at once.
-    A row whose width is not the header's raises TypeError."""
-    line = ",".join(["%s"] * len(header)) + "\n"
-    rows = iter(rows)
-    with atomic_write(path, "w") as f:
-        f.write(",".join(header) + "\n")
+def write_rows(path, header, rows, sep=","):
+    """Lines of sep-joined fields, unquoted (every field is a number, "" or a
+    fixed name, written as str() gives it, so a float is its repr), to path,
+    or to stdout when path is None. `rows` may be any iterable, a generator
+    included; it is formatted and written CSV_BLOCK rows at a time, the header
+    with the first block, so only one block of lines is held at once and rows
+    that raise before it write nothing. A row of the wrong width raises TypeError."""
+    line = sep.join(["%s"] * len(header)) + "\n"
+    rows, head = iter(rows), sep.join(header) + "\n"
+    with atomic_write(path, "w") if path else nullcontext(sys.stdout) as f:
         while block := [line % tuple(row) for row in itertools.islice(rows, CSV_BLOCK)]:
-            f.write("".join(block))
+            f.write(head + "".join(block))
+            head = ""
+        f.write(head)
+
+
+def write_csv(path, header, rows):
+    """write_rows to a comma-separated file."""
+    write_rows(path, header, rows)
 
 
 def write_json(path, obj):

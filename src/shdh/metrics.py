@@ -17,12 +17,13 @@ Formulas (written to each eval's summary.json, so results describe themselves):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .codes import CodeDatabase
-from .errors import EmptyInput, RankTooLarge, ShapeMismatch
+from .errors import EmptyInput, InvalidNumber, RankTooLarge, ShapeMismatch
 from .hierarchy import Taxonomy
 from .index import distance_keys
 
@@ -73,20 +74,28 @@ def _cutoff_metrics(rels: np.ndarray, ideal: np.ndarray, ns) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricReport:
-    """Per-query and mean metric values at each requested cutoff."""
+    """Per-query metric values at each requested cutoff, and their means."""
 
     ns: list[int]
     mode: str
     # metric -> (n_queries x len(ns)) array; NaN marks excluded WR cells
     per_query: dict[str, np.ndarray]
-    means: dict[str, np.ndarray] = field(default_factory=dict)
-    wr_excluded: int = 0
+    wr_excluded: int
     # mean WR@n for n = 1..N, and mean WR within each exact distance level
-    wr_by_n: np.ndarray | None = None
-    radii: np.ndarray | None = None
-    wr_by_radius: np.ndarray | None = None
+    wr_by_n: np.ndarray
+    radii: np.ndarray
+    wr_by_radius: np.ndarray
+
+    @cached_property
+    def means(self) -> dict[str, np.ndarray]:
+        """metric -> mean over queries per cutoff; WR skips excluded queries (NaN if all are)."""
+        means = {metric: vals.mean(axis=0) for metric, vals in self.per_query.items()}
+        wr = self.per_query["weighted_recall"]
+        means["weighted_recall"] = (np.nanmean(wr, axis=0) if np.isfinite(wr).any()
+                                    else np.full(len(self.ns), np.nan))
+        return means
 
     def mean(self, metric: str, n: int) -> float:
         return float(self.means[metric][self.ns.index(n)])
@@ -118,8 +127,8 @@ class MetricReport:
 
 
 def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
-                 tax: Taxonomy, mode: str = MODE_SHARED_LAYERS,
-                 ns: list[int] = (100,)) -> MetricReport:
+                 tax: Taxonomy, mode: str = MODE_SHARED_LAYERS, *,
+                 ns: list[int]) -> MetricReport:
     """Rank the database once per query; score all four metrics at each n
     and the mean Weighted Recall curves from that one ranking.
 
@@ -143,9 +152,11 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
         raise EmptyInput("no queries to evaluate")
     rel_by_depth = _relevance_by_depth(tax, mode)
     ns = list(ns)
-    for n in ns:
+    for i, n in enumerate(ns):
         if not 1 <= n <= len(db):
             raise RankTooLarge(f"rank {n} outside [1, {len(db)}]")
+        if n in ns[:i]:
+            raise InvalidNumber(f"cutoff {n} is given twice")
 
     N, n_levels, max_n = len(db), db.layout.max_key + 1, max(ns, default=0)
     leaves = np.arange(len(tax.leaves))
@@ -178,26 +189,9 @@ def eval_queries(db: CodeDatabase, db_labels, qdb: CodeDatabase, query_labels,
         ends = np.cumsum(level_size)
         wr_level_sum += np.where(ends > 0, recall[ends - 1], 0.0)
 
-    means = {}
-    for metric in METRIC_NAMES:
-        vals = per_query[metric]
-        if metric == "weighted_recall":
-            means[metric] = (np.nanmean(vals, axis=0) if np.isfinite(vals).any()
-                             else np.full(len(ns), np.nan))
-        else:
-            means[metric] = vals.mean(axis=0)
     if kept:
         levels = np.flatnonzero(seen_levels)
         curves = (wr_n_sum / kept, db.layout.distances(levels), wr_level_sum[levels] / kept)
     else:
         curves = (np.full(N, np.nan), np.array([0.0]), np.array([np.nan]))
-    return MetricReport(
-        ns=ns,
-        mode=mode,
-        per_query=per_query,
-        means=means,
-        wr_excluded=wr_excluded,
-        wr_by_n=curves[0],
-        radii=curves[1],
-        wr_by_radius=curves[2],
-    )
+    return MetricReport(ns, mode, per_query, wr_excluded, *curves)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shdh
 from shdh.cli import build_parser, main
-from shdh.codes import CodeDatabase, SegmentLayout, segment_layout
+from shdh.codes import (Architecture, CodeDatabase, SegmentLayout, init_model,
+                        segment_layout)
 from shdh.datagen import SyntheticConfig
 from shdh.io import (
     read_codes,
@@ -400,6 +403,71 @@ class TestQuery:
         assert out1.read_text() == out2.read_text()
 
 
+    def test_stdout_is_the_out_file(self, dataset, trained, tmp_path, capsys):
+        argv = ["query", "--codes", str(trained / "db.shdc"),
+                "--model", str(trained / "model.shdm"),
+                "--query-features", str(dataset / "query.shdf"), "--n", "30"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "o.tsv")]) == 0
+        assert (tmp_path / "o.tsv").read_bytes() == stdout.encode() and stdout.count("\n") == 361
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_layout_mismatch_writes_nothing_exit_3(self, dataset, trained, tmp_path, capsys, out):
+        # the queries are encoded with 24 bits, the database with 16
+        model = tmp_path / "m24.shdm"
+        write_model(model, init_model(Architecture(d=8, hidden=(), L=24), segment_layout(24, 3),
+                                      seed=0))
+        rc = main(["query", "--codes", str(trained / "db.shdc"), "--model", str(model),
+                   "--query-features", str(dataset / "query.shdf"),
+                   *(["--out", str(tmp_path / "o.tsv")] if out else [])])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("LAYOUT_MISMATCH: ")
+        assert os.listdir(tmp_path) == ["m24.shdm"]
+
+
+# The child writes 20 000 random codes, then queries the first 1 000 rows
+# with --n 10 and with --n 1000, and prints its peak resident set (VmHWM) in
+# KiB after each. Holding every query's hits, and their lines, before writing
+# any would keep the million rows of the second run: 230 MiB more.
+QUERY_MEMORY_CHILD = """
+import sys
+import numpy as np
+from shdh.cli import main
+from shdh.codes import CodeDatabase, segment_layout
+from shdh.io import write_codes
+
+def status_kib(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+out = sys.argv[1]
+layout = segment_layout(32, 3)
+packed = np.random.default_rng(0).integers(0, 256, (20_000, layout.total_bytes), np.uint8)
+write_codes(out + ".shdc", CodeDatabase(layout=layout, packed=packed))
+ids = [arg for q in range(1000) for arg in ("--query-id", str(q))]
+for n in ("10", "1000"):
+    assert main(["query", "--codes", out + ".shdc", "--n", n, "--out", out + ".tsv", *ids]) == 0
+    print(status_kib("VmHWM"))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for VmHWM")
+def test_query_memory_bounded_by_one_query(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shdh.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", QUERY_MEMORY_CHILD, str(tmp_path / "q")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_n10, peak_n1000 = (int(line) / 1024 for line in proc.stdout.split())
+    assert peak_n1000 - peak_n10 < 8, f"--n 1000 peaked {peak_n1000 - peak_n10:.0f} MiB higher"
+    assert len((tmp_path / "q.tsv").read_text().splitlines()) == 1 + 1000 * 1000
+
+
 class TestEval:
     def test_outputs(self, dataset, trained, tmp_path, capsys):
         prefix = tmp_path / "eval"
@@ -500,6 +568,20 @@ class TestEval:
         ])
         assert rc == 3
         assert capsys.readouterr().err.startswith("RANK_TOO_LARGE: ")
+        assert not any(tmp_path.glob("e.*"))
+
+    def test_repeated_cutoff_exit_3(self, dataset, trained, tmp_path, capsys):
+        rc = main([
+            "eval",
+            "--db-codes", str(trained / "db.shdc"),
+            "--db-labels", str(dataset / "train_labels.tsv"),
+            "--query-codes", str(trained / "q.shdc"),
+            "--query-labels", str(dataset / "query_labels.tsv"),
+            "--taxonomy", str(dataset / "taxonomy.tsv"),
+            "--ns", "10,5,10", "--out-prefix", str(tmp_path / "e"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("INVALID_NUMBER: cutoff 10 ")
         assert not any(tmp_path.glob("e.*"))
 
     def test_rerun_identical_reports(self, dataset, trained, tmp_path):

@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import struct
 import tracemalloc
 
@@ -23,7 +24,9 @@ from shdh.io import (
     write_csv,
     write_features,
     write_labels,
+    write_json,
     write_model,
+    write_rows,
     write_taxonomy,
     write_trainlog,
 )
@@ -369,6 +372,24 @@ class TestCsv:
         assert len(lines) == 1 + len(wr) and lines[-1] == f"{len(wr)},{float(wr[-1])!r}"
 
 
+    def test_tab_separated_to_stdout(self, tmp_path, capsys):
+        rows = [("q0", rank, rank * 7, 0.5 * rank, -1.25) for rank in range(1, CSV_BLOCK + 3)]
+        header = ["query", "rank", "item_id", "distance", "inner_product"]
+        write_rows(None, header, iter(rows), sep="\t")
+        oracle = "".join("\t".join(map(str, row)) + "\n" for row in [header, *rows])
+        assert capsys.readouterr().out == oracle
+        write_rows(tmp_path / "r.tsv", header, iter(rows), sep="\t")
+        assert (tmp_path / "r.tsv").read_text() == oracle
+
+    def test_rows_that_raise_before_the_first_block_write_nothing(self, capsys):
+        def rows():
+            yield 1, 2.5
+            raise RuntimeError("search failed")
+        with pytest.raises(RuntimeError):
+            write_rows(None, ["n", "value"], rows())
+        assert capsys.readouterr().out == ""
+
+
 class TestTrainLogCsv:
     def test_written_and_parseable(self, tmp_path):
         log = [TrainRecord(0, 0.01, -1.5, 2.0, 3.5),
@@ -406,3 +427,16 @@ class TestAtomicWrite:
         with atomic_write(target) as f:
             f.write(b"data")
         assert target.read_bytes() == b"data"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # 0o666 less the umask, as open(path, "w") would create the file
+        old = os.umask(umask)
+        try:
+            write_json(tmp_path / "s.json", {})
+            db = CodeDatabase(layout=segment_layout(16, 3), packed=np.zeros((1, 2), np.uint8))
+            write_codes(tmp_path / "db.shdc", db)
+        finally:
+            os.umask(old)
+        for name in ("s.json", "db.shdc"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import shdh.metrics
 from shdh.codes import CodeDatabase, quantize, segment_layout
-from shdh.errors import RankTooLarge, UnknownLabel
+from shdh.errors import InvalidNumber, RankTooLarge, UnknownLabel
 from shdh.metrics import METRIC_NAMES, _cutoff_metrics, _relevance_by_depth, eval_queries
 
 from shdh.hierarchy import Taxonomy
@@ -226,6 +228,27 @@ class TestEvalQueries:
         for ns in ([3], [0], [1, 3]):
             with pytest.raises(RankTooLarge):
                 eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=ns)
+
+    def test_repeated_cutoff(self, toy3):
+        layout = segment_layout(8, 3)
+        a = quantize(np.full((1, 8), 1.0), layout)
+        db = _db(layout, [a, a])
+        with pytest.raises(InvalidNumber, match="cutoff 2 "):
+            eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3, ns=[2, 1, 2])
+        with pytest.raises(TypeError):  # the cutoffs have no default
+            eval_queries(db, ["rose", "sun"], _db(layout, [a]), ["rose"], toy3)
+
+    def test_report_frozen_and_means_from_per_query(self, fig4):
+        db, labels, qdb, qlabels = _fig4_case(33)
+        report = eval_queries(db, labels, qdb, qlabels, fig4, ns=[1, 7, 30])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.wr_excluded = 0
+        assert report.wr_excluded == qlabels.count("tiger") >= 1
+        kept = [ql != "tiger" for ql in qlabels]
+        for metric, values in report.per_query.items():
+            if metric == "weighted_recall":  # the excluded queries' cells are NaN
+                values = values[kept]
+            np.testing.assert_allclose(report.means[metric], values.mean(axis=0), rtol=1e-12)
 
 
 def _fig4_case(seed, n_db=120, n_q=8):
